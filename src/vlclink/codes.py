@@ -8,6 +8,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -235,27 +236,6 @@ class LutCodeSpec:
         object.__setattr__(self, "table", tab)
 
 
-# IEEE 802.15.7 4B6B substitution table (each 6-bit word has weight 3).
-_4B6B_TABLE = """
-0000 001110
-0001 001101
-0010 010011
-0011 010110
-0100 010101
-0101 100011
-0110 100110
-0111 100101
-1000 011001
-1001 011010
-1010 011100
-1011 110001
-1100 110010
-1101 101001
-1110 101010
-1111 101100
-"""
-
-
 def parse_lut_table(text: str, input_width: int = 4,
                     output_width: int = 6) -> np.ndarray:
     """Parse a '<input bits> <output bits>' per-line table into an array."""
@@ -286,9 +266,15 @@ def load_lut_table(path: str | Path, input_width: int = 4,
                        output_width=output_width, table=table)
 
 
+@lru_cache(maxsize=1)
 def build_4b6b() -> LutCodeSpec:
-    return LutCodeSpec(name="4b6b", input_width=4, output_width=6,
-                       table=parse_lut_table(_4B6B_TABLE))
+    """IEEE 802.15.7 4B6B substitution table (each 6-bit word has weight
+    3), read once from the packaged data/4b6b.txt."""
+    path = Path(__file__).parent / "data" / "4b6b.txt"
+    spec = LutCodeSpec(name="4b6b", input_width=4, output_width=6,
+                       table=parse_lut_table(path.read_text()))
+    spec.table.flags.writeable = False      # one instance is shared
+    return spec
 
 
 def encode_lut(spec: LutCodeSpec, v: np.ndarray) -> np.ndarray:

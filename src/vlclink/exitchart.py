@@ -231,11 +231,15 @@ def find_threshold(inner: str, rate: Fraction | float, es: float,
     if resolution_db <= 0:
         raise ValueError("resolution must be positive")
 
+    gaps = {}
+
     def gap_at(ebn0):
-        s2 = ebn0_to_sigma2(ebn0, float(rate), es)
-        c = inner_curve(inner, s2, grid=grid, samples=samples, seed=seed,
-                        ebn0_db=ebn0)
-        return _tunnel_gap(c, outer_curve_measured, eps)
+        if ebn0 not in gaps:
+            s2 = ebn0_to_sigma2(ebn0, float(rate), es)
+            c = inner_curve(inner, s2, grid=grid, samples=samples, seed=seed,
+                            ebn0_db=ebn0)
+            gaps[ebn0] = _tunnel_gap(c, outer_curve_measured, eps)
+        return gaps[ebn0]
 
     if gap_at(lo_db) > 0:
         return ThresholdResult(lo_db, gap_at(lo_db), resolution_db, True)

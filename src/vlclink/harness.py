@@ -342,11 +342,15 @@ def run_threshold(cfg: dict, schemes=("cc-split-phase", "cc-bmc", "cc-4b6b"),
                   out_dir: str | Path | None = None) -> dict:
     """Convergence thresholds of the requested schemes."""
     results = {}
+    outer_curves = {}       # one measurement per (outer code, puncture)
     for scheme in schemes:
         chain = pipeline.make_chain(scheme, 64)
-        outer = exitchart.outer_curve(chain.outer, chain.puncture,
-                                      samples=cfg["exit_samples"],
-                                      seed=cfg["seed"])
+        key = (chain.outer.name, chain.puncture)
+        if key not in outer_curves:
+            outer_curves[key] = exitchart.outer_curve(
+                chain.outer, chain.puncture, samples=cfg["exit_samples"],
+                seed=cfg["seed"])
+        outer = outer_curves[key]
         res = exitchart.find_threshold(
             chain.inner, chain.ideal_rate, chain.mean_symbol_energy, outer,
             lo_db=cfg["threshold_lo_db"], hi_db=cfg["threshold_hi_db"],

@@ -121,6 +121,25 @@ class TestThreshold:
         assert not res.found
         assert res.ebn0_db_star is None
 
+    def test_each_point_measured_once(self, monkeypatch):
+        chain = make_chain("cc-split-phase", 64)
+        outer = ex.outer_curve(chain.outer, chain.puncture, samples=2000,
+                               seed=10)
+        measured = []
+        inner_curve = ex.inner_curve
+
+        def counted(*args, **kwargs):
+            measured.append(kwargs["ebn0_db"])
+            return inner_curve(*args, **kwargs)
+        monkeypatch.setattr(ex, "inner_curve", counted)
+        for lo, hi in ((3.0, 6.5), (-2.0, 0.0), (6.0, 7.0)):
+            measured.clear()
+            ex.find_threshold(chain.inner, chain.ideal_rate,
+                              chain.mean_symbol_energy, outer, lo_db=lo,
+                              hi_db=hi, resolution_db=0.25, samples=2000,
+                              seed=10)
+            assert len(measured) == len(set(measured))
+
 
 class TestTrajectory:
 

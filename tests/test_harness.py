@@ -143,6 +143,25 @@ class TestBerSweep:
         assert rec.blocks_run < 50
 
 
+class TestThreshold:
+
+    def test_shared_outer_curve_measured_once(self, monkeypatch):
+        cfg = harness.load_config(None, overrides={
+            "exit_samples": 2000, "seed": 3, "threshold_resolution_db": 0.25})
+        punctures = []
+        outer_curve = harness.exitchart.outer_curve
+
+        def counted(outer, puncture, **kwargs):
+            punctures.append(puncture)
+            return outer_curve(outer, puncture, **kwargs)
+        monkeypatch.setattr(harness.exitchart, "outer_curve", counted)
+        both = harness.run_threshold(cfg, schemes=("cc-split-phase",
+                                                   "cc-bmc", "cc-4b6b"))
+        assert len(punctures) == 2      # rate-2/3 once, unpunctured once
+        alone = harness.run_threshold(cfg, schemes=("cc-bmc",))
+        assert both["cc-bmc"] == alone["cc-bmc"]
+
+
 class TestCli:
 
     def test_presets_lists_all(self, capsys):

@@ -15,6 +15,14 @@ def test_committed_table_is_the_one_the_chain_encodes_with():
     assert (committed_4b6b_table() == codes.build_4b6b().table).all()
 
 
+def test_committed_table_is_the_ieee_802_15_7_table():
+    words = ["001110", "001101", "010011", "010110", "010101", "100011",
+             "100110", "100101", "011001", "011010", "011100", "110001",
+             "110010", "101001", "101010", "101100"]
+    want = np.array([[int(b) for b in w] for w in words])
+    assert (committed_4b6b_table() == want).all()
+
+
 def test_4b6b_flip_profile():
     flips = lut_flip_distances(committed_4b6b_table())
     assert np.bincount(flips).tolist() == [0, 0, 24, 0, 40]

@@ -139,6 +139,137 @@ class TestBcjrProperties:
         assert np.isfinite(le).all()
 
 
+def plain_forward_backward(trellis, gamma):
+    """The per-section alpha/beta recursion, one section per step."""
+    B, n, S, A = gamma.shape
+    in_state, in_input = trellis.incoming()
+    alpha = np.full((B, n + 1, S), -np.inf)
+    alpha[:, 0, trellis.initial_state] = 0.0
+    alpha_norm = np.zeros((B, n + 1))
+    for l in range(n):
+        cand = alpha[:, l][:, in_state] + gamma[:, l][:, in_state, in_input]
+        nxt = np.logaddexp.reduce(cand, axis=-1)
+        m = nxt.max(axis=-1)
+        alpha[:, l + 1] = nxt - m[:, None]
+        alpha_norm[:, l + 1] = alpha_norm[:, l] + m
+    beta = np.zeros((B, n + 1, S))
+    beta_norm = np.zeros((B, n + 1))
+    if trellis.termination == "tail-to-zero":
+        beta[:, n, 1:] = -np.inf
+    for l in range(n - 1, -1, -1):
+        cand = gamma[:, l] + beta[:, l + 1][:, trellis.next_state]
+        cur = np.logaddexp.reduce(cand, axis=-1)
+        m = cur.max(axis=-1)
+        beta[:, l] = cur - m[:, None]
+        beta_norm[:, l] = beta_norm[:, l + 1] + m
+    return alpha, beta, alpha_norm, beta_norm
+
+
+def chunked_decode(trellis, gamma, chunk):
+    """Workspace and input/label APPs with a forced scan chunk length."""
+    ws = siso._forward_backward(trellis, gamma, chunk)
+    post = siso._posteriors(trellis, ws)
+    app_in = siso._llr_from_partition(post, siso._input_mask(trellis))
+    app_out = np.stack([
+        siso._llr_from_partition(post, trellis.output_bits[:, :, j] == 1)
+        for j in range(trellis.outputs_per_step)], axis=-1)
+    return ws, app_in, app_out
+
+
+def split_phase_gamma(rng, B, n, sigma2, prior_scale=2.0):
+    sp = codes.build_split_phase()
+    v = rng.integers(0, 2, (B, n))
+    y = codes.encode(sp, v) + rng.normal(0, np.sqrt(sigma2), (B, 2 * n))
+    return sp, gamma_table_ook(sp, y, rng.normal(0, prior_scale, (B, n)),
+                               sigma2)
+
+
+def outer_gamma(rng, B, n, prior_scale=1.5):
+    cc = codes.build_outer_cc()
+    return cc, gamma_table_llr(cc, rng.normal(0, prior_scale, (B, n, 2)))
+
+
+CHUNK = 8
+SCAN_LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
+                2 * CHUNK + 1, 203)
+
+
+def assert_same_decode(trellis, gamma, chunk):
+    """A chunked scan agrees with the one-chunk recursion to 1e-9."""
+    n = gamma.shape[1]
+    ws1, in1, out1 = chunked_decode(trellis, gamma, n)
+    ws, app_in, app_out = chunked_decode(trellis, gamma, chunk)
+    for got, want in ((ws.alpha, ws1.alpha), (ws.beta, ws1.beta)):
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got, want, atol=1e-9)
+    for got, want in ((ws.alpha_norm, ws1.alpha_norm),
+                      (ws.beta_norm, ws1.beta_norm)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(app_in, in1, atol=1e-9)
+    np.testing.assert_allclose(app_out, out1, atol=1e-9)
+
+
+class TestChunkedScan:
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("code", ["split-phase", "outer"])
+    def test_matches_one_chunk(self, code, B):
+        rng = np.random.default_rng(21)
+        for n in SCAN_LENGTHS:
+            trellis, gamma = (split_phase_gamma(rng, B, n, 0.4)
+                              if code == "split-phase"
+                              else outer_gamma(rng, B, n))
+            for chunk in (1, 3, CHUNK):
+                assert_same_decode(trellis, gamma, chunk)
+
+    def test_one_chunk_is_the_plain_recursion(self):
+        rng = np.random.default_rng(22)
+        for trellis, gamma in (split_phase_gamma(rng, 3, 203, 0.4),
+                               outer_gamma(rng, 3, 203)):
+            ws = siso._forward_backward(trellis, gamma, 203)
+            want = plain_forward_backward(trellis, gamma)
+            for got, w in zip((ws.alpha, ws.beta, ws.alpha_norm,
+                               ws.beta_norm), want):
+                np.testing.assert_array_equal(got, w)
+
+    def test_clamped_priors(self):
+        """Priors beyond +-50; chunk 1 is shorter than the outer code's
+        memory, so its transfers keep -inf entries."""
+        rng = np.random.default_rng(23)
+        sp = codes.build_split_phase()
+        v = rng.integers(0, 2, (3, 203))
+        y = codes.encode(sp, v) + rng.normal(0, 0.6, (3, 406))
+        prior = rng.choice([-1e3, 1e3], (3, 203))
+        assert_same_decode(sp, gamma_table_ook(sp, y, prior, 0.36), CHUNK)
+        cc = codes.build_outer_cc()
+        gamma = gamma_table_llr(cc, rng.choice([-1e3, 1e3], (3, 203, 2)))
+        assert_same_decode(cc, gamma, CHUNK)
+        assert_same_decode(cc, gamma, 1)
+
+    def test_huge_metrics(self):
+        """sigma^2 = 1e-6: metrics near 1e6 per section, offsets near 1e8,
+        and the losing state near -1e6 (probability 0)."""
+        rng = np.random.default_rng(24)
+        sp, gamma = split_phase_gamma(rng, 3, 203, 1e-6, prior_scale=50.0)
+        assert_same_decode(sp, gamma, CHUNK)
+        assert_same_decode(sp, gamma, 1)
+
+    def test_path_probability_conservation_across_chunks(self):
+        rng = np.random.default_rng(25)
+        for trellis, gamma in (split_phase_gamma(rng, 2, 203, 0.4),
+                               outer_gamma(rng, 2, 203)):
+            tot = siso._forward_backward(trellis, gamma, CHUNK
+                                         ).total_log_prob()
+            assert (np.ptp(tot, axis=-1) < 1e-9 * np.abs(tot).max()).all()
+
+    def test_chunking_follows_the_call_shape(self):
+        # long desk-sized blocks are split; wide short EXIT calls are not
+        assert siso._chunk_length(8193, 8, 2, 2) < 8193 // 2
+        assert siso._chunk_length(5462, 8, 4, 2) < 5462 // 2
+        assert siso._chunk_length(256, 400, 2, 2) == 256
+        assert siso._chunk_length(130, 770, 4, 2) == 130
+
+
 class TestManchesterMap:
 
     def test_matches_oracle(self):
