@@ -149,8 +149,13 @@ def load_config(path: str | Path, preset: str | None = None,
     return _coerce({k: base[k] for k in DEFAULTS})
 
 
+# Performance knobs: they change no number, so they stay out of the digest.
+_PERF_KEYS = {"workers"}
+
+
 def config_digest(cfg: dict) -> str:
-    canon = json.dumps({k: cfg[k] for k in sorted(cfg)}, sort_keys=True)
+    canon = json.dumps({k: cfg[k] for k in sorted(cfg)
+                        if k not in _PERF_KEYS}, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

@@ -249,7 +249,11 @@ def transmit(u: np.ndarray, cfg: ChainConfig, sigma2: float,
 
 @dataclass
 class IterationTrace:
-    """Per-iteration receiver diagnostics (needs the true message)."""
+    """Per-iteration receiver diagnostics (needs the true message).
+
+    The MI rows are (0, B) unless collect_trace is set.  After a block's
+    genie stop its rows repeat the stopping iteration's values.
+    """
 
     iterations: np.ndarray            # (B,) iterations executed per block
     executed: int                     # iterations actually run (batch-wide)
@@ -276,34 +280,40 @@ def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
 
     Returns (u_hat, IterationTrace | None).  Genie stopping (needs true_u)
     freezes a block once its message decision is exact; it never changes
-    which decisions are possible, only how many iterations run.
+    which decisions are possible, only how many iterations run.  A frozen
+    block leaves the working batch, so later iterations decode only the
+    live blocks; its trace rows keep its state at the stopping iteration
+    (BER 0 and that iteration's MI values).
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     B = y.shape[0]
     if y.shape[-1] != cfg.n_tx:
         raise FramingError(f"received length {y.shape[-1]}, expected "
                            f"{cfg.n_tx}")
+    if collect_trace and true_u is None:
+        raise ValueError("collect_trace needs the true message true_u")
     genie = cfg.genie_stopping and true_u is not None
     if true_u is not None:
         true_u = np.atleast_2d(np.asarray(true_u, dtype=np.uint8))
         if collect_trace:
             streams = encode_chain(true_u, cfg)
             v_true, kept_true = streams["v"], streams["kept"]
+            from .exitchart import measure_mi
 
+    L = cfg.iterations
+    u_hat = np.zeros((B, cfg.k_user), dtype=np.uint8)
+    iters = np.full(B, L, dtype=np.int64)
+    ber = np.zeros((L, B))
+    mi = np.zeros((L, 3, B))        # I_A inner, I_E inner, I_E outer
+    # the working batch: rows of the live blocks, whose indices are `live`
+    live = np.arange(B)
     y_line = dimming.dim_decode(y, cfg.dim)
     prior_v = np.zeros((B, cfg.n))
-    u_hat = np.zeros((B, cfg.k_user), dtype=np.uint8)
-    iters = np.full(B, cfg.iterations, dtype=np.int64)
-    done = np.zeros(B, dtype=bool)
-    L = cfg.iterations
-
-    mi_pi, mi_ei, mi_eo, bers = [], [], [], []
-    if collect_trace:
-        from .exitchart import measure_mi
 
     executed = 0
     for it in range(1, L + 1):
         executed = it
+        nb = live.size
         le_v = _inner_extrinsic(cfg, y_line, prior_v, sigma2)
         la_kept = cfg.interleaver.invert(le_v)
         if cfg.puncture is not None:
@@ -311,47 +321,43 @@ def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
                                             cfg.n_coded)
         else:
             la_full = la_kept
-        code_prior = la_full.reshape(B, cfg.n_steps,
+        code_prior = la_full.reshape(nb, cfg.n_steps,
                                      cfg.outer.outputs_per_step)
         res = siso.bcjr_decode(cfg.outer,
                                siso.gamma_table_llr(cfg.outer, code_prior))
-        le_code = res.app_output - siso.clamp_llr(code_prior)
-        app_info = res.app_input[:, :cfg.k_pad]
-        u_it = (app_info[:, :cfg.k_user] > 0).astype(np.uint8)
-
-        u_hat[~done] = u_it[~done]
-        if collect_trace:
-            mi_pi.append(np.array([measure_mi(prior_v[b], v_true[b])
-                                   for b in range(B)]))
-            mi_ei.append(np.array([measure_mi(le_v[b], v_true[b])
-                                   for b in range(B)]))
-            le_kept = le_code.reshape(B, -1)
-            if cfg.puncture is not None:
-                le_kept = codes.apply_puncture(le_kept, cfg.puncture)
-            mi_eo.append(np.array([measure_mi(le_kept[b], kept_true[b])
-                                   for b in range(B)]))
-        if true_u is not None:
-            bers.append((u_it != true_u).mean(axis=1))
-        if genie:
-            newly = ~done & (u_it == true_u).all(axis=1)
-            iters[newly] = it
-            done |= newly
-            if done.all():
-                break
-        le_kept = le_code.reshape(B, -1)
+        le_kept = (res.app_output
+                   - siso.clamp_llr(code_prior)).reshape(nb, -1)
         if cfg.puncture is not None:
             le_kept = codes.apply_puncture(le_kept, cfg.puncture)
+        u_it = (res.app_input[:, :cfg.k_user] > 0).astype(np.uint8)
+        u_hat[live] = u_it
+
+        if collect_trace:
+            if it > 1:
+                mi[it - 1] = mi[it - 2]
+            for i, b in enumerate(live):
+                mi[it - 1, :, b] = (measure_mi(prior_v[i], v_true[b]),
+                                    measure_mi(le_v[i], v_true[b]),
+                                    measure_mi(le_kept[i], kept_true[b]))
+        if true_u is not None:
+            wrong = u_it != true_u[live]
+            ber[it - 1, live] = wrong.mean(axis=1)
+        if genie:
+            keep = wrong.any(axis=1)
+            iters[live[~keep]] = it
+            if not keep.any():
+                break
+            if not keep.all():
+                live, y_line = live[keep], y_line[keep]
+                le_kept = le_kept[keep]
         prior_v = cfg.interleaver.apply(le_kept)
 
     if not genie:
         iters[:] = executed
     trace = None
     if true_u is not None:
-        stack = (lambda lst: np.array(lst) if lst
-                 else np.zeros((0, B)))
+        mi = mi[:executed if collect_trace else 0]
         trace = IterationTrace(iterations=iters, executed=executed,
-                               mi_prior_inner=stack(mi_pi),
-                               mi_ext_inner=stack(mi_ei),
-                               mi_ext_outer=stack(mi_eo),
-                               ber=stack(bers))
+                               mi_prior_inner=mi[:, 0], mi_ext_inner=mi[:, 1],
+                               mi_ext_outer=mi[:, 2], ber=ber[:executed])
     return u_hat, trace

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlclink import pipeline
+from vlclink import pipeline, siso
 from vlclink.channel import ebn0_to_sigma2
 from vlclink.pipeline import (SCHEMES, builtin_configs, make_chain,
                               make_interleaver, receive, transmit)
@@ -159,3 +159,62 @@ class TestTransmitReceive:
         tx = pipeline.encode_chain(u, cfg)["tx"]
         for row in tx:
             assert abs(row.mean() - 0.6) <= 1 / cfg.n_tx
+
+
+def _waterfall_batch():
+    """8 split-phase blocks at 5.0 dB: six stop at iterations 2 to 7, two
+    never converge in 12."""
+    cfg = make_chain("cc-split-phase", k=300, iterations=12,
+                     genie_stopping=True)
+    s2 = ebn0_to_sigma2(5.0, 1 / 3, 0.5)
+    rng = np.random.default_rng(29)
+    u = rng.integers(0, 2, (8, 300)).astype(np.uint8)
+    return cfg, s2, u, transmit(u, cfg, s2, rng)
+
+
+class TestActiveSet:
+    """Genie-stopped blocks leave the receiver's working batch."""
+
+    def test_batch_equals_blocks_alone(self):
+        cfg, s2, u, y = _waterfall_batch()
+        u_hat, trace = receive(y, cfg, s2, true_u=u)
+        assert len(set(trace.iterations.tolist())) >= 5
+        for b in range(len(u)):
+            u_b, trace_b = receive(y[b], cfg, s2, true_u=u[b])
+            np.testing.assert_array_equal(u_b[0], u_hat[b])
+            assert trace_b.iterations[0] == trace.iterations[b]
+
+    def test_only_live_blocks_decoded(self, monkeypatch):
+        cfg, s2, u, y = _waterfall_batch()
+        widths = []
+        decode = siso.bcjr_decode
+
+        def spy(trellis, gamma):
+            widths.append(gamma.shape[0])
+            return decode(trellis, gamma)
+        monkeypatch.setattr(siso, "bcjr_decode", spy)
+        _, trace = receive(y, cfg, s2, true_u=u)
+        its = trace.iterations
+        assert widths == [int((its >= it).sum())
+                          for it in range(1, trace.executed + 1)]
+        assert widths[0] == 8 and widths[-1] < 8
+        for b, n in enumerate(its):
+            assert (trace.ber[n - 1:, b] == 0).all() or n == cfg.iterations
+            assert (trace.ber[:n - 1, b] > 0).all()
+
+    def test_collect_trace_with_genie_stopping(self):
+        cfg, s2, u, y = _waterfall_batch()
+        u_hat, trace = receive(y, cfg, s2, true_u=u, collect_trace=True)
+        u_plain, plain = receive(y, cfg, s2, true_u=u)
+        np.testing.assert_array_equal(u_hat, u_plain)
+        np.testing.assert_array_equal(trace.iterations, plain.iterations)
+        np.testing.assert_array_equal(trace.ber, plain.ber)
+        for rows in (trace.mi_prior_inner, trace.mi_ext_inner,
+                     trace.mi_ext_outer, trace.ber):
+            assert rows.shape == (trace.executed, len(u))
+            for b, n in enumerate(trace.iterations):
+                # a frozen block keeps its stopping iteration's values
+                assert (rows[n:, b] == rows[n - 1, b]).all()
+        assert (trace.mi_ext_outer[0] > 0).all()
+        with pytest.raises(ValueError, match="true_u"):
+            receive(y, cfg, s2, collect_trace=True)

@@ -24,6 +24,19 @@ class TestGammaOok:
         with pytest.raises(ValueError):
             gamma_ook(1.0, [1], 0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("builder", [codes.build_split_phase,
+                                         codes.build_bmc])
+    def test_table_matches_scalar_metric(self, builder):
+        trellis = builder()
+        rng = np.random.default_rng(26)
+        y = rng.normal(0.5, 1.0, (2, 10))
+        prior = rng.normal(0, 3, (2, 5))
+        g = gamma_table_ook(trellis, y, prior, 0.7)
+        for b, l, s, a in np.ndindex(g.shape):
+            want = gamma_ook(y[b, 2 * l:2 * l + 2],
+                             trellis.output_bits[s, a], a, prior[b, l], 0.7)
+            assert g[b, l, s, a] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
 
 class TestGammaLlr:
 
@@ -98,6 +111,19 @@ class TestBcjrProperties:
         y[3] = np.inf
         with pytest.raises(ValueError):
             bcjr_extrinsic(sp, observations=y, prior=np.zeros(4), sigma2=1.0)
+        for sigma2 in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma2"):
+                bcjr_extrinsic(sp, observations=np.zeros(8),
+                               prior=np.zeros(4), sigma2=sigma2)
+            with pytest.raises(ValueError, match="sigma2"):
+                map_lut(codes.build_4b6b(), np.zeros(6), sigma2=sigma2)
+            with pytest.raises(ValueError, match="sigma2"):
+                map_manchester(np.zeros(4), sigma2=sigma2)
+        prior = np.zeros(10)
+        prior[4] = np.nan
+        with pytest.raises(ValueError, match="input prior"):
+            bcjr_extrinsic(codes.build_outer_cc(),
+                           code_prior=np.zeros((10, 2)), prior=prior)
 
     def test_extrinsic_exclusion_finite_difference(self):
         """d L_E(v_l) / d L_A(v_l) is zero for trellis decoders."""
@@ -268,6 +294,29 @@ class TestChunkedScan:
         assert siso._chunk_length(5462, 8, 4, 2) < 5462 // 2
         assert siso._chunk_length(256, 400, 2, 2) == 256
         assert siso._chunk_length(130, 770, 4, 2) == 130
+
+
+class TestLogSumExp:
+    """siso._logsumexp against np.logaddexp.reduce over the last axis."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
+    def test_matches_logaddexp_reduce(self, width):
+        rng = np.random.default_rng(27)
+        x = rng.normal(0, 5, (50, 7, width))
+        some_inf = x.copy()
+        some_inf[rng.random(x.shape) < 0.3] = -np.inf
+        some_inf[..., 0] = 1.5          # no row of only -inf
+        huge = x + rng.choice([-1e6, 1e6], (50, 7, 1))
+        for case in (x, some_inf, huge):
+            np.testing.assert_allclose(siso._logsumexp(case),
+                                       np.logaddexp.reduce(case, axis=-1),
+                                       rtol=1e-12, atol=0)
+
+    def test_all_neg_inf_rows(self):
+        x = np.full((3, 4), -np.inf)
+        x[1, 2] = -7.0
+        got = siso._logsumexp(x)
+        np.testing.assert_array_equal(got, [-np.inf, -7.0, -np.inf])
 
 
 class TestManchesterMap:
