@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -21,8 +19,8 @@ def block_rng(master_seed: int, *index: int) -> np.random.Generator:
 def awgn(x: np.ndarray, sigma2: float,
          rng: np.random.Generator) -> np.ndarray:
     """y = x + n with n iid Gaussian, mean zero, variance sigma2."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     x = np.asarray(x, dtype=np.float64)
     return x + rng.normal(0.0, np.sqrt(sigma2), size=x.shape)
 
@@ -38,21 +36,3 @@ def ebn0_to_sigma2(ebn0_db: float, rate: float, es: float) -> float:
     if rate <= 0 or es <= 0:
         raise ValueError("rate and es must be positive")
     return es / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Resolved operating point of the OOK/AWGN link."""
-
-    ebn0_db: float
-    overall_rate: float
-    mean_symbol_energy: float
-
-    def __post_init__(self):
-        if self.overall_rate <= 0 or self.mean_symbol_energy <= 0:
-            raise ValueError("rate and symbol energy must be positive")
-
-    @property
-    def sigma2(self) -> float:
-        return ebn0_to_sigma2(self.ebn0_db, self.overall_rate,
-                              self.mean_symbol_energy)

@@ -76,8 +76,11 @@ def main(argv=None) -> int:
             print(f"{scheme}: threshold {star} "
                   f"(min gap {res.tunnel_min_gap:.4f})")
     elif args.command == "metrics":
-        chain = pipeline.make_chain(cfg["scheme"], cfg["k"], d=cfg["d"],
-                                    interleaver_seed=cfg["interleaver_seed"])
+        if args.blocks < 1:
+            print(f"error: --blocks must be >= 1, got {args.blocks}",
+                  file=sys.stderr)
+            return 2
+        chain = harness.chain_from_config(cfg)
         rng = np.random.default_rng(cfg["seed"])
         u = rng.integers(0, 2, size=(args.blocks, chain.k_user))
         tx = pipeline.encode_chain(u, chain)["tx"]

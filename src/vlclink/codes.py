@@ -24,29 +24,27 @@ class FramingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TrellisSpec:
-    """Deterministic finite-state encoder.
+    """Deterministic finite-state encoder with one input bit per step.
 
     next_state[s, a] and output_bits[s, a, :] describe the transition taken
-    from state s on input label a (a single input bit when
-    inputs_per_step == 1, which is all this package uses for trellis SISO).
+    from state s on input bit a.
     """
 
     name: str
     num_states: int
-    inputs_per_step: int
     outputs_per_step: int
-    next_state: np.ndarray      # (S, A) int
-    output_bits: np.ndarray     # (S, A, outputs_per_step) uint8
+    next_state: np.ndarray      # (S, 2) int
+    output_bits: np.ndarray     # (S, 2, outputs_per_step) uint8
     initial_state: int = 0
     termination: str = "none"   # "none" | "tail-to-zero"
 
     def __post_init__(self):
-        S, A = self.num_states, self.num_input_labels
+        S = self.num_states
         ns = np.asarray(self.next_state, dtype=np.int64)
         ob = np.asarray(self.output_bits, dtype=np.uint8)
-        if ns.shape != (S, A):
-            raise ValueError(f"next_state shape {ns.shape}, expected {(S, A)}")
-        if ob.shape != (S, A, self.outputs_per_step):
+        if ns.shape != (S, 2):
+            raise ValueError(f"next_state shape {ns.shape}, expected {(S, 2)}")
+        if ob.shape != (S, 2, self.outputs_per_step):
             raise ValueError("output_bits shape mismatch")
         if ns.min() < 0 or ns.max() >= S:
             raise ValueError("next_state out of range")
@@ -58,10 +56,6 @@ class TrellisSpec:
         object.__setattr__(self, "output_bits", ob)
 
     @property
-    def num_input_labels(self) -> int:
-        return 1 << self.inputs_per_step
-
-    @property
     def memory(self) -> int:
         return max(1, int(np.ceil(np.log2(self.num_states))))
 
@@ -71,20 +65,16 @@ class TrellisSpec:
         Only meaningful for tail-to-zero termination; found by exhaustive
         search over input sequences (states are few).
         """
-        m, A = self.memory, self.num_input_labels
+        m = self.memory
         table = np.full((self.num_states, m), -1, dtype=np.int64)
         for s0 in range(self.num_states):
-            for seq in range(A ** m):
+            for seq in range(2 ** m):
                 s = s0
-                digits = []
-                x = seq
-                for _ in range(m):
-                    digits.append(x % A)
-                    x //= A
-                for a in digits:
+                bits = [(seq >> j) & 1 for j in range(m)]
+                for a in bits:
                     s = self.next_state[s, a]
                 if s == 0:
-                    table[s0] = digits
+                    table[s0] = bits
                     break
             else:
                 raise ValueError(f"state {s0} of {self.name} cannot reach 0 "
@@ -92,17 +82,17 @@ class TrellisSpec:
         return table
 
     def incoming(self) -> tuple[np.ndarray, np.ndarray]:
-        """(prev_state, input) pairs feeding each state, shape (S, A) each.
+        """(prev_state, input) pairs feeding each state, shape (S, 2) each.
 
-        Requires the trellis to be regular (every state has exactly A
+        Requires the trellis to be regular (every state has exactly two
         incoming transitions), which holds for all codes built here.
         """
-        S, A = self.num_states, self.num_input_labels
+        S = self.num_states
         buckets: list[list[tuple[int, int]]] = [[] for _ in range(S)]
         for s in range(S):
-            for a in range(A):
+            for a in range(2):
                 buckets[self.next_state[s, a]].append((s, a))
-        if any(len(b) != A for b in buckets):
+        if any(len(b) != 2 for b in buckets):
             raise ValueError(f"trellis {self.name} is not regular")
         in_state = np.array([[p[0] for p in b] for b in buckets])
         in_input = np.array([[p[1] for p in b] for b in buckets])
@@ -112,27 +102,19 @@ class TrellisSpec:
 def encode(spec: TrellisSpec, bits: np.ndarray) -> np.ndarray:
     """Run the encoder over one or a batch of input blocks.
 
-    bits: (..., n_in) with n_in divisible by inputs_per_step.  Tail-to-zero
+    bits: (..., n_steps), one input bit per step.  Tail-to-zero
     termination appends `memory` extra steps (per-block tail inputs).
     Returns (..., n_steps_total * outputs_per_step) bit array.
     """
     bits = np.asarray(bits, dtype=np.int64)
     single = bits.ndim == 1
     bits = np.atleast_2d(bits)
-    B, n_in = bits.shape
-    if n_in % spec.inputs_per_step:
-        raise FramingError(f"input length {n_in} not divisible by "
-                           f"{spec.inputs_per_step}")
-    n_steps = n_in // spec.inputs_per_step
-    labels = bits.reshape(B, n_steps, spec.inputs_per_step)
-    # MSB-first label packing (irrelevant for 1-bit inputs)
-    weights = 1 << np.arange(spec.inputs_per_step - 1, -1, -1)
-    labels = labels @ weights
+    B, n_steps = bits.shape
 
     state = np.full(B, spec.initial_state, dtype=np.int64)
     out = np.empty((B, n_steps, spec.outputs_per_step), dtype=np.uint8)
     for l in range(n_steps):
-        a = labels[:, l]
+        a = bits[:, l]
         out[:, l] = spec.output_bits[state, a]
         state = spec.next_state[state, a]
 
@@ -168,7 +150,7 @@ def build_outer_cc() -> TrellisSpec:
             parity = fb ^ s2
             ns[s, u] = (fb << 1) | s1
             ob[s, u] = (u, parity)
-    return TrellisSpec(name="cc-rsc-5/7", num_states=4, inputs_per_step=1,
+    return TrellisSpec(name="cc-rsc-5/7", num_states=4,
                        outputs_per_step=2, next_state=ns, output_bits=ob,
                        initial_state=0, termination="tail-to-zero")
 
@@ -184,7 +166,7 @@ def build_split_phase() -> TrellisSpec:
     labels = {0: (0, 1), 1: (1, 0)}
     ob = np.array([[labels[ns[s, a]] for a in range(2)] for s in range(2)],
                   dtype=np.uint8)
-    return TrellisSpec(name="split-phase", num_states=2, inputs_per_step=1,
+    return TrellisSpec(name="split-phase", num_states=2,
                        outputs_per_step=2, next_state=ns, output_bits=ob)
 
 
@@ -199,7 +181,7 @@ def build_bmc() -> TrellisSpec:
     for L in range(2):
         ns[L, 0], ob[L, 0] = 1 - L, (1 - L, 1 - L)
         ns[L, 1], ob[L, 1] = L, (1 - L, L)
-    return TrellisSpec(name="bmc", num_states=2, inputs_per_step=1,
+    return TrellisSpec(name="bmc", num_states=2,
                        outputs_per_step=2, next_state=ns, output_bits=ob)
 
 
@@ -256,14 +238,6 @@ def parse_lut_table(text: str, input_width: int = 4,
     if not seen.all():
         raise ValueError("table incomplete")
     return table
-
-
-def load_lut_table(path: str | Path, input_width: int = 4,
-                   output_width: int = 6) -> LutCodeSpec:
-    text = Path(path).read_text()
-    table = parse_lut_table(text, input_width, output_width)
-    return LutCodeSpec(name=f"lut:{Path(path).name}", input_width=input_width,
-                       output_width=output_width, table=table)
 
 
 @lru_cache(maxsize=1)

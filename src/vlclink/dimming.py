@@ -47,16 +47,6 @@ class DimmingConfig:
     def is_identity(self) -> bool:
         return self.p == 0
 
-    def describe(self) -> dict:
-        return {
-            "target_d": self.target_d,
-            "frame_len": self.frame_len,
-            "p": self.p,
-            "compensation_value": self.compensation_value,
-            "puncture_positions": self.puncture_positions.tolist(),
-            "insertion_positions": self.insertion_positions.tolist(),
-        }
-
 
 def _spread(count: int, total: int) -> np.ndarray:
     """count distinct indices spread evenly over range(total)."""
@@ -65,13 +55,11 @@ def _spread(count: int, total: int) -> np.ndarray:
     return np.floor((np.arange(count) + 0.5) * total / count).astype(np.int64)
 
 
-def plan_dimming(frame_len: int, d: float, seed: int = 0) -> DimmingConfig:
+def plan_dimming(frame_len: int, d: float) -> DimmingConfig:
     """Deterministic dimming plan for one frame length and target d.
 
     p = round(|2d-1| * N) rounded to an even count; p/2 whole output pairs
     are punctured and p compensation bits are inserted, both evenly spread.
-    The seed is accepted for interface stability but the layout is
-    position-deterministic.
     """
     if not 0.0 < d < 1.0:
         raise ValueError(f"dimming target {d} outside (0, 1)")

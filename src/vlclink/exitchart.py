@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from . import codes, pipeline, siso
+from . import codes, pipeline
 from .channel import awgn, ebn0_to_sigma2, ook_modulate
 
 LN2 = np.log(2.0)
@@ -118,36 +118,21 @@ def inner_curve(inner: str, sigma2: float, grid=None, samples: int = 100_000,
     drawn fresh per point from the seeded generator.
     """
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, np.float64)
-    cfg = _inner_codec(inner)
+    code = pipeline.INNER_CODES[inner]
     n0 = _INNER_BLOCK
     nblocks = max(1, int(np.ceil(samples / n0)))
     values = []
     for gi, ia in enumerate(grid):
         rng = np.random.default_rng([seed, gi])
         v = rng.integers(0, 2, size=(nblocks, n0)).astype(np.uint8)
-        line = cfg["encode"](v)
+        line = code.encode(v)
         y = awgn(ook_modulate(line), sigma2, rng)
         prior = sample_priors(v, j_inverse(float(ia)), rng)
-        ext = cfg["decode"](y, prior, sigma2)
+        ext = code.extrinsic(y, prior, sigma2)
         values.append(measure_mi(ext, v))
     return ExitCurve(component=f"inner:{inner}", ebn0_db=ebn0_db,
                      grid=grid, values=np.array(values),
                      samples_per_point=nblocks * n0)
-
-
-def _inner_codec(inner: str) -> dict:
-    if inner == "manchester":
-        return {"encode": codes.encode_manchester,
-                "decode": lambda y, p, s2: siso.map_manchester(y, p, s2)}
-    if inner == "4b6b":
-        lut = codes.build_4b6b()
-        return {"encode": lambda v: codes.encode_lut(lut, v),
-                "decode": lambda y, p, s2: siso.map_lut(lut, y, p, s2)}
-    tr = (codes.build_split_phase() if inner == "split-phase"
-          else codes.build_bmc())
-    return {"encode": lambda v: codes.encode(tr, v),
-            "decode": lambda y, p, s2: siso.bcjr_extrinsic(
-                tr, observations=y, prior=p, sigma2=s2)}
 
 
 _OUTER_BLOCK = 128      # message bits per independent outer-curve block
@@ -179,14 +164,7 @@ def outer_curve(outer: codes.TrellisSpec,
         kept = (coded if puncture is None
                 else codes.apply_puncture(coded, puncture))
         prior_kept = sample_priors(kept, j_inverse(float(ia)), rng)
-        full = (prior_kept if puncture is None else
-                codes.insert_erasures(prior_kept, puncture, coded_len))
-        cp = full.reshape(nblocks, steps, outer.outputs_per_step)
-        res = siso.bcjr_decode(outer, siso.gamma_table_llr(outer, cp))
-        ext = res.app_output - siso.clamp_llr(cp)
-        ext_kept = ext.reshape(nblocks, -1)
-        if puncture is not None:
-            ext_kept = codes.apply_puncture(ext_kept, puncture)
+        ext_kept, _ = pipeline.outer_extrinsic(outer, puncture, prior_kept)
         values.append(measure_mi(ext_kept, kept))
     return ExitCurve(component="outer:cc", ebn0_db=None, grid=grid,
                      values=np.array(values),

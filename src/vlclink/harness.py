@@ -12,7 +12,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +76,10 @@ _INT_KEYS = {"k", "iterations", "max_blocks", "target_errors", "batch",
              "trajectory_blocks"}
 _FLOAT_KEYS = {"exit_ebn0_db", "threshold_lo_db", "threshold_hi_db",
                "threshold_resolution_db"}
+# smallest allowed value of each count
+_MINIMUM = {"k": 1, "iterations": 1, "batch": 1, "max_blocks": 1,
+            "target_errors": 1, "workers": 1, "exit_samples": 1,
+            "trajectory_blocks": 0}
 
 
 def parse_config_text(text: str) -> dict:
@@ -101,6 +105,9 @@ def _coerce(cfg: dict) -> dict:
             out[k] = int(out[k])
         except (TypeError, ValueError):
             raise ConfigError(f"key {k!r}: expected integer, got {out[k]!r}")
+    for k, least in _MINIMUM.items():
+        if out[k] < least:
+            raise ConfigError(f"key {k!r}: must be >= {least}, got {out[k]}")
     for k in _FLOAT_KEYS:
         try:
             out[k] = float(out[k])
@@ -157,6 +164,14 @@ def config_digest(cfg: dict) -> str:
     canon = json.dumps({k: cfg[k] for k in sorted(cfg)
                         if k not in _PERF_KEYS}, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+def chain_from_config(cfg: dict) -> pipeline.ChainConfig:
+    """The chain a resolved config describes."""
+    return pipeline.make_chain(cfg["scheme"], cfg["k"],
+                               iterations=cfg["iterations"],
+                               genie_stopping=cfg["genie"], d=cfg["d"],
+                               interleaver_seed=cfg["interleaver_seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +281,9 @@ def simulate_point(cfg_chain: pipeline.ChainConfig, ebn0_db: float,
 
 def _point_job(args):
     cfg, j, ebn0 = args
-    chain = pipeline.make_chain(cfg["scheme"], cfg["k"],
-                                iterations=cfg["iterations"],
-                                genie_stopping=cfg["genie"], d=cfg["d"],
-                                interleaver_seed=cfg["interleaver_seed"])
-    return simulate_point(chain, ebn0, j, cfg["seed"], cfg["max_blocks"],
-                          cfg["target_errors"], cfg["batch"],
-                          digest=config_digest(cfg))
+    return simulate_point(chain_from_config(cfg), ebn0, j, cfg["seed"],
+                          cfg["max_blocks"], cfg["target_errors"],
+                          cfg["batch"], digest=config_digest(cfg))
 
 
 def run_ber_sweep(cfg: dict, out_dir: str | Path | None = None
@@ -303,7 +314,7 @@ def run_exit(cfg: dict, out_dir: str | Path | None = None) -> list:
     ebn0 = cfg["exit_ebn0_db"]
     samples = cfg["exit_samples"]
     curves = []
-    for name in ("split-phase", "bmc", "manchester", "4b6b"):
+    for name in pipeline.INNER_CODES:
         chain = pipeline.make_chain(f"cc-{name}", 64)
         s2 = ebn0_to_sigma2(ebn0, float(chain.ideal_rate),
                             chain.mean_symbol_energy)
@@ -314,8 +325,7 @@ def run_exit(cfg: dict, out_dir: str | Path | None = None) -> list:
                                         samples=samples, seed=cfg["seed"]))
     rate12 = exitchart.outer_curve(outer, None, samples=samples,
                                    seed=cfg["seed"])
-    object.__setattr__(rate12, "component", "outer:cc-rate-1/2")
-    curves.append(rate12)
+    curves.append(replace(rate12, component="outer:cc-rate-1/2"))
 
     rows = []
     for c in curves:
@@ -325,10 +335,7 @@ def run_exit(cfg: dict, out_dir: str | Path | None = None) -> list:
                          float(ia), float(ie), c.samples_per_point])
     traj_rows = []
     if cfg["trajectory_blocks"] > 0:
-        chain = pipeline.make_chain(cfg["scheme"], cfg["k"],
-                                    iterations=cfg["iterations"],
-                                    genie_stopping=False, d=cfg["d"],
-                                    interleaver_seed=cfg["interleaver_seed"])
+        chain = chain_from_config(dict(cfg, genie=False))
         pts = exitchart.record_trajectory(chain, ebn0,
                                           blocks=cfg["trajectory_blocks"],
                                           seed=cfg["seed"])
@@ -387,16 +394,13 @@ def write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
 
 
 def write_manifest(path: Path, cfg: dict, extra: dict | None = None) -> None:
-    chain = pipeline.make_chain(cfg["scheme"], cfg["k"],
-                                iterations=cfg["iterations"],
-                                genie_stopping=cfg["genie"], d=cfg["d"],
-                                interleaver_seed=cfg["interleaver_seed"])
+    chain = chain_from_config(cfg)
     manifest = {
         "config": cfg,
         "config_digest": config_digest(cfg),
         "rates": chain.rates(),
         "interleaver_length": chain.n,
-        "transmitted_frame_length": chain.n_tx,
+        "transmitted_frame_length": chain.n_line,
         "dimming": {"target_d": chain.d, "p": chain.dim.p,
                     "compensation_value": chain.dim.compensation_value},
         "mean_symbol_energy": chain.mean_symbol_energy,

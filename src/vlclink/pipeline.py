@@ -12,20 +12,52 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from . import codes, dimming, siso
 from .channel import awgn, ook_modulate
-from .codes import (FramingError, LutCodeSpec, PuncturePattern,
-                    RATE_23_PUNCTURE, TrellisSpec)
+from .codes import (FramingError, PuncturePattern, RATE_23_PUNCTURE,
+                    TrellisSpec)
 
-INNER_RATES = {
-    "split-phase": Fraction(1, 2),
-    "bmc": Fraction(1, 2),
-    "manchester": Fraction(1, 2),
-    "4b6b": Fraction(2, 3),
-}
+
+@dataclass(frozen=True)
+class InnerCode:
+    """One inner line code with its SISO decoder.
+
+    encode(v) maps (..., n) input bits to (..., n / rate) line bits, for n
+    a multiple of `quantum`; extrinsic(y, prior, sigma2) gives extrinsic
+    LLRs on the input bits from OOK observations of the line bits.  Both
+    look their codes/siso functions and specs up at call time.
+    """
+
+    name: str
+    rate: Fraction
+    quantum: int                # input bits per line-code symbol
+    encode: Callable
+    extrinsic: Callable
+
+
+INNER_CODES = {c.name: c for c in (
+    InnerCode("split-phase", Fraction(1, 2), 1,
+              lambda v: codes.encode(codes.build_split_phase(), v),
+              lambda y, prior, sigma2: siso.bcjr_extrinsic(
+                  codes.build_split_phase(), observations=y, prior=prior,
+                  sigma2=sigma2)),
+    InnerCode("bmc", Fraction(1, 2), 1,
+              lambda v: codes.encode(codes.build_bmc(), v),
+              lambda y, prior, sigma2: siso.bcjr_extrinsic(
+                  codes.build_bmc(), observations=y, prior=prior,
+                  sigma2=sigma2)),
+    InnerCode("manchester", Fraction(1, 2), 1,
+              lambda v: codes.encode_manchester(v),
+              lambda y, prior, sigma2: siso.map_manchester(y, prior, sigma2)),
+    InnerCode("4b6b", Fraction(2, 3), 4,
+              lambda v: codes.encode_lut(codes.build_4b6b(), v),
+              lambda y, prior, sigma2: siso.map_lut(codes.build_4b6b(), y,
+                                                    prior, sigma2)),
+)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +87,7 @@ class ChainConfig:
     """Full parameterization of one concatenated scheme."""
 
     scheme: str
-    inner: str                     # split-phase | bmc | manchester | 4b6b
+    inner: str                     # a key of INNER_CODES
     outer: TrellisSpec
     puncture: PuncturePattern | None
     k_user: int
@@ -67,22 +99,16 @@ class ChainConfig:
     # derived
     interleaver: Interleaver = field(init=False)
     dim: dimming.DimmingConfig = field(init=False)
-    lut: LutCodeSpec | None = field(init=False)
-    inner_trellis: TrellisSpec | None = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "interleaver",
                            make_interleaver(self.n, self.interleaver_seed))
         object.__setattr__(self, "dim",
                            dimming.plan_dimming(self.n_line, self.d))
-        object.__setattr__(self, "lut",
-                           codes.build_4b6b() if self.inner == "4b6b" else None)
-        tr = None
-        if self.inner == "split-phase":
-            tr = codes.build_split_phase()
-        elif self.inner == "bmc":
-            tr = codes.build_bmc()
-        object.__setattr__(self, "inner_trellis", tr)
+
+    @property
+    def code(self) -> InnerCode:
+        return INNER_CODES[self.inner]
 
     @property
     def n_steps(self) -> int:
@@ -102,12 +128,7 @@ class ChainConfig:
     @property
     def n_line(self) -> int:
         """Inner line-code output length (= transmitted frame length)."""
-        ri = INNER_RATES[self.inner]
-        return int(self.n / ri)
-
-    @property
-    def n_tx(self) -> int:
-        return self.n_line
+        return int(self.n / self.code.rate)
 
     @property
     def outer_rate(self) -> Fraction:
@@ -118,12 +139,12 @@ class ChainConfig:
 
     @property
     def ideal_rate(self) -> Fraction:
-        return self.outer_rate * INNER_RATES[self.inner]  # dimming rate is 1
+        return self.outer_rate * self.code.rate  # dimming rate is 1
 
     @property
     def effective_rate(self) -> float:
         """Includes termination and padding overhead."""
-        return self.k_user / self.n_tx
+        return self.k_user / self.n_line
 
     @property
     def mean_symbol_energy(self) -> float:
@@ -132,7 +153,7 @@ class ChainConfig:
 
     def rates(self) -> dict:
         return {"outer": str(self.outer_rate),
-                "inner": str(INNER_RATES[self.inner]),
+                "inner": str(self.code.rate),
                 "dimming": "1",
                 "ideal": str(self.ideal_rate),
                 "ideal_float": float(self.ideal_rate),
@@ -148,12 +169,17 @@ def make_chain(scheme: str, k: int, iterations: int = 30,
                interleaver_seed: int = 1) -> ChainConfig:
     """Build a named scheme around a user message length k.
 
-    The message is zero-padded (k_pad >= k) until the outer step count is
-    divisible by the puncture period and the interleaver length fits the
-    inner code framing; padding is stripped before error counting.
+    The message is zero-padded to the smallest k_pad >= k for which the
+    outer step count is divisible by the puncture period, the interleaver
+    length is a multiple of the inner code's quantum and the line frame
+    has even length (whole pairs for dimming); padding is stripped before
+    error counting.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if k < 1 or iterations < 1:
+        raise ValueError(f"k and iterations must be >= 1, got {k} and "
+                         f"{iterations}")
     if scheme == "cc-split-phase-dim60":
         inner, punct = "split-phase", None
         d = 0.6 if d is None else d
@@ -164,22 +190,16 @@ def make_chain(scheme: str, k: int, iterations: int = 30,
     d = 0.5 if d is None else d
 
     outer = codes.build_outer_cc()
+    code = INNER_CODES[inner]
     k_pad = k
     while True:
         steps = k_pad + outer.memory
-        coded = steps * outer.outputs_per_step
-        if punct is not None and steps % punct.period:
-            k_pad += 1
-            continue
-        n = coded if punct is None else int(punct.mask(coded).sum())
-        if inner == "4b6b" and n % 4:
-            k_pad += 1
-            continue
-        n_line = int(n / INNER_RATES[inner])
-        if n_line % 2:
-            k_pad += 1
-            continue
-        break
+        if punct is None or steps % punct.period == 0:
+            coded = steps * outer.outputs_per_step
+            n = coded if punct is None else int(punct.mask(coded).sum())
+            if n % code.quantum == 0 and (n / code.rate) % 2 == 0:
+                break
+        k_pad += 1
     return ChainConfig(scheme=scheme, inner=inner, outer=outer,
                        puncture=punct, k_user=k, k_pad=k_pad,
                        iterations=iterations, genie_stopping=genie_stopping,
@@ -216,14 +236,6 @@ def _pad(u: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     return np.concatenate([u, pad], axis=-1)
 
 
-def inner_encode(cfg: ChainConfig, v: np.ndarray) -> np.ndarray:
-    if cfg.inner == "manchester":
-        return codes.encode_manchester(v)
-    if cfg.inner == "4b6b":
-        return codes.encode_lut(cfg.lut, v)
-    return codes.encode(cfg.inner_trellis, v)
-
-
 def encode_chain(u: np.ndarray, cfg: ChainConfig) -> dict:
     """All intermediate bit streams of the transmitter, batched."""
     up = _pad(u, cfg)
@@ -231,7 +243,7 @@ def encode_chain(u: np.ndarray, cfg: ChainConfig) -> dict:
     kept = coded if cfg.puncture is None else codes.apply_puncture(
         coded, cfg.puncture)
     v = cfg.interleaver.apply(kept)
-    line = inner_encode(cfg, v)
+    line = cfg.code.encode(v)
     tx = dimming.dim_encode(line, cfg.dim)
     return {"coded": coded, "kept": kept, "v": v, "line": line, "tx": tx}
 
@@ -263,14 +275,24 @@ class IterationTrace:
     ber: np.ndarray                   # (executed, B) message BER per iteration
 
 
-def _inner_extrinsic(cfg: ChainConfig, y_line: np.ndarray, prior: np.ndarray,
-                     sigma2: float) -> np.ndarray:
-    if cfg.inner == "manchester":
-        return siso.map_manchester(y_line, prior, sigma2)
-    if cfg.inner == "4b6b":
-        return siso.map_lut(cfg.lut, y_line, prior, sigma2)
-    return siso.bcjr_extrinsic(cfg.inner_trellis, observations=y_line,
-                               prior=prior, sigma2=sigma2)
+def outer_extrinsic(outer: TrellisSpec, puncture: PuncturePattern | None,
+                    prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outer SISO on the transmitted code bits.
+
+    prior: (B, n) a-priori LLRs of the kept (punctured) code bits.  The
+    punctured-out bits enter the decoder as erasures.  Returns the kept
+    bits' extrinsic LLRs (B, n) and the input bits' APP LLRs (B, n_steps).
+    """
+    B, n = prior.shape
+    if puncture is not None:
+        full = n // puncture.kept_per_period * puncture.keep.size
+        prior = codes.insert_erasures(prior, puncture, full)
+    code_prior = prior.reshape(B, -1, outer.outputs_per_step)
+    res = siso.bcjr_decode(outer, siso.gamma_table_llr(outer, code_prior))
+    ext = (res.app_output - siso.clamp_llr(code_prior)).reshape(B, -1)
+    if puncture is not None:
+        ext = codes.apply_puncture(ext, puncture)
+    return ext, res.app_input
 
 
 def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
@@ -287,9 +309,9 @@ def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     B = y.shape[0]
-    if y.shape[-1] != cfg.n_tx:
+    if y.shape[-1] != cfg.n_line:
         raise FramingError(f"received length {y.shape[-1]}, expected "
-                           f"{cfg.n_tx}")
+                           f"{cfg.n_line}")
     if collect_trace and true_u is None:
         raise ValueError("collect_trace needs the true message true_u")
     genie = cfg.genie_stopping and true_u is not None
@@ -313,23 +335,10 @@ def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
     executed = 0
     for it in range(1, L + 1):
         executed = it
-        nb = live.size
-        le_v = _inner_extrinsic(cfg, y_line, prior_v, sigma2)
-        la_kept = cfg.interleaver.invert(le_v)
-        if cfg.puncture is not None:
-            la_full = codes.insert_erasures(la_kept, cfg.puncture,
-                                            cfg.n_coded)
-        else:
-            la_full = la_kept
-        code_prior = la_full.reshape(nb, cfg.n_steps,
-                                     cfg.outer.outputs_per_step)
-        res = siso.bcjr_decode(cfg.outer,
-                               siso.gamma_table_llr(cfg.outer, code_prior))
-        le_kept = (res.app_output
-                   - siso.clamp_llr(code_prior)).reshape(nb, -1)
-        if cfg.puncture is not None:
-            le_kept = codes.apply_puncture(le_kept, cfg.puncture)
-        u_it = (res.app_input[:, :cfg.k_user] > 0).astype(np.uint8)
+        le_v = cfg.code.extrinsic(y_line, prior_v, sigma2)
+        le_kept, app_u = outer_extrinsic(cfg.outer, cfg.puncture,
+                                         cfg.interleaver.invert(le_v))
+        u_it = (app_u[:, :cfg.k_user] > 0).astype(np.uint8)
         u_hat[live] = u_it
 
         if collect_trace:

@@ -42,36 +42,16 @@ def _check_sigma2(sigma2):
 # Transition metrics
 # ---------------------------------------------------------------------------
 
-def gamma_ook(y, label_bits, input_bit, prior, sigma2) -> float:
-    """Log transition metric for OOK observations of one trellis section.
-
-    input_bit * prior + (1/2 sigma^2) * sum_j (2 y_j c_j - y_j^2) over the
-    bits c_j of the transition's output label.
-    """
-    _check_sigma2(sigma2)
-    y = np.asarray(y, dtype=np.float64)
-    c = np.asarray(label_bits, dtype=np.float64)
-    ch = float(np.sum(2.0 * y * c - y * y)) / (2.0 * sigma2)
-    return float(input_bit) * float(clamp_llr(np.float64(prior))) + ch
-
-
-def gamma_llr(label_bits, label_priors, input_prior=0.0) -> float:
-    """Log transition metric from per-bit a-priori LLRs only."""
-    c = np.asarray(label_bits, dtype=np.float64)
-    lp = clamp_llr(np.asarray(label_priors, dtype=np.float64))
-    return float(np.sum(c * lp)) + float(clamp_llr(np.float64(input_prior)))
-
-
 def gamma_table_ook(trellis: TrellisSpec, y: np.ndarray, prior: np.ndarray,
                     sigma2: float) -> np.ndarray:
     """Vectorized OOK metric table, shape (B, n_sections, S, A).
 
-    The metric of gamma_ook, computed as y.c/sigma^2 - |y|^2/(2 sigma^2)
-    per section without a (B, n, S, A, n_out) temporary.
+    input_bit * prior + (1/2 sigma^2) * sum_j (2 y_j c_j - y_j^2) over the
+    bits c_j of each transition's output label, computed as
+    y.c/sigma^2 - |y|^2/(2 sigma^2) per section without a
+    (B, n, S, A, n_out) temporary.
     """
     _check_sigma2(sigma2)
-    if trellis.inputs_per_step != 1:
-        raise ValueError("trellis SISO expects one input bit per section")
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     prior = np.atleast_2d(np.asarray(prior, dtype=np.float64))
     _check_finite("observations", y)
@@ -97,8 +77,6 @@ def gamma_table_llr(trellis: TrellisSpec, code_prior: np.ndarray,
 
     code_prior: (B, n_sections, outputs_per_step) LLRs on the label bits.
     """
-    if trellis.inputs_per_step != 1:
-        raise ValueError("trellis SISO expects one input bit per section")
     cp = clamp_llr(np.asarray(code_prior, dtype=np.float64))
     if cp.ndim == 2:
         cp = cp[None]
@@ -360,8 +338,7 @@ class BcjrResult:
 
 
 def _input_mask(trellis: TrellisSpec) -> np.ndarray:
-    S, A = trellis.num_states, trellis.num_input_labels
-    return np.broadcast_to(np.arange(A) == 1, (S, A))
+    return np.broadcast_to([False, True], (trellis.num_states, 2))
 
 
 def bcjr_decode(trellis: TrellisSpec, gamma: np.ndarray) -> BcjrResult:

@@ -11,7 +11,33 @@ from math import erfc, sqrt
 
 import numpy as np
 
-from vlclink import codes
+from vlclink import codes, siso
+
+
+def gamma_ook(y, label_bits, input_bit, prior, sigma2) -> float:
+    """Log transition metric for OOK observations of one trellis section.
+
+    input_bit * prior + (1/2 sigma^2) * sum_j (2 y_j c_j - y_j^2) over the
+    bits c_j of the transition's output label; the prior is clamped to
+    +-siso.LLR_CLAMP as the decoders clamp it.
+    """
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    y = np.asarray(y, dtype=np.float64)
+    c = np.asarray(label_bits, dtype=np.float64)
+    ch = float(np.sum(2.0 * y * c - y * y)) / (2.0 * sigma2)
+    return float(input_bit) * float(np.clip(prior, -siso.LLR_CLAMP,
+                                            siso.LLR_CLAMP)) + ch
+
+
+def gamma_llr(label_bits, label_priors, input_prior=0.0) -> float:
+    """Log transition metric from per-bit a-priori LLRs only (clamped)."""
+    c = np.asarray(label_bits, dtype=np.float64)
+    lp = np.clip(np.asarray(label_priors, dtype=np.float64),
+                 -siso.LLR_CLAMP, siso.LLR_CLAMP)
+    return float(np.sum(c * lp)) + float(np.clip(input_prior,
+                                                 -siso.LLR_CLAMP,
+                                                 siso.LLR_CLAMP))
 
 
 def all_bit_vectors(n):

@@ -226,7 +226,7 @@ def test_6_dimming_exactness():
     u = rng.integers(0, 2, size=(100, chain60.k_user)).astype(np.uint8)
     tx60 = pipeline.encode_chain(u, chain60)["tx"]
     dev = float(np.abs(tx60.mean(axis=1) - 0.6).max())
-    within = dev <= 1.0 / chain60.n_tx + 1e-12
+    within = dev <= 1.0 / chain60.n_line + 1e-12
 
     sigma2 = 1e-3
     y = awgn(ook_modulate(tx60), sigma2, np.random.default_rng(66))
@@ -234,7 +234,7 @@ def test_6_dimming_exactness():
     clean = bool((u_hat == u).all())
     _report("6 dimming exactness", exact_half and within and clean,
             f"50% exact={exact_half}, 60% max dev {dev:.2e} "
-            f"(1/N={1 / chain60.n_tx:.2e}), error-free={clean}")
+            f"(1/N={1 / chain60.n_line:.2e}), error-free={clean}")
 
 
 # -------------------------------------------------------------------------
@@ -304,9 +304,7 @@ def test_9_full_scale_runs():
     cfg = harness.load_config(None, preset="full",
                               overrides={"max_blocks": 2, "batch": 2,
                                          "target_errors": 10 ** 9})
-    chain = pipeline.make_chain(cfg["scheme"], cfg["k"],
-                                iterations=cfg["iterations"],
-                                genie_stopping=cfg["genie"])
+    chain = harness.chain_from_config(cfg)
     rec = harness.simulate_point(chain, cfg["ebn0_db"][0], 0, cfg["seed"],
                                  cfg["max_blocks"], cfg["target_errors"],
                                  cfg["batch"])

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vlclink.channel import (ChannelModel, awgn, block_rng, ebn0_to_sigma2,
-                             ook_modulate)
+from vlclink.channel import awgn, block_rng, ebn0_to_sigma2, ook_modulate
 
 
 def test_ook_definition():
@@ -62,12 +61,6 @@ def test_parameter_errors():
         ebn0_to_sigma2(1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         ebn0_to_sigma2(1.0, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        awgn(np.zeros(4), 0.0, np.random.default_rng(0))
-
-
-def test_channel_model():
-    m = ChannelModel(ebn0_db=0.0, overall_rate=1 / 3, mean_symbol_energy=0.5)
-    assert m.sigma2 == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        ChannelModel(ebn0_db=0.0, overall_rate=0.0, mean_symbol_energy=0.5)
+    for sigma2 in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            awgn(np.zeros(4), sigma2, np.random.default_rng(0))

@@ -32,7 +32,7 @@ class TestOuterCC:
 
     def test_structure(self, cc):
         assert cc.num_states == 4
-        assert cc.inputs_per_step == 1
+        assert cc.next_state.shape == (4, 2)     # one input bit per step
         assert cc.outputs_per_step == 2
         assert cc.termination == "tail-to-zero"
 
@@ -149,15 +149,6 @@ class TestLut4b6b:
     def test_framing_error(self, lut):
         with pytest.raises(FramingError):
             codes.encode_lut(lut, np.zeros(6, dtype=int))
-
-    def test_table_loadable_from_file(self, lut, tmp_path):
-        lines = []
-        for i, row in enumerate(lut.table):
-            lines.append(f"{i:04b} " + "".join(map(str, row)))
-        path = tmp_path / "table.txt"
-        path.write_text("\n".join(lines))
-        loaded = codes.load_lut_table(path)
-        assert (loaded.table == lut.table).all()
 
     def test_table_validation_rejects_unbalanced(self):
         bad = codes.build_4b6b().table.copy()

@@ -39,6 +39,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="scheme"):
             harness.parse_config_text("scheme = cc-8b10b\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", 0), ("iterations", 0), ("batch", 0), ("max_blocks", 0),
+        ("target_errors", 0), ("workers", 0), ("exit_samples", 0),
+        ("k", -3), ("trajectory_blocks", -1)])
+    def test_count_below_minimum(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'.*>="):
+            harness.load_config(None, overrides={key: value})
+
     def test_genie_boolean_forms(self):
         for text, want in [("genie = off", False), ("genie = 1", True),
                            ("genie = FALSE", False)]:
@@ -218,6 +226,10 @@ class TestCli:
         for rec in data.values():
             assert rec["found"]
             assert 3.0 <= rec["ebn0_db_star"] <= 6.0
+
+    def test_metrics_rejects_no_blocks(self, capsys):
+        assert cli.main(["metrics", "--blocks", "0"]) == 2
+        assert "--blocks" in capsys.readouterr().err
 
     def test_metrics_subcommand(self, capsys, tmp_path):
         p = tmp_path / "c.cfg"

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from vlclink import pipeline, siso
+from vlclink import exitchart, pipeline, siso
 from vlclink.channel import ebn0_to_sigma2
 from vlclink.pipeline import (SCHEMES, builtin_configs, make_chain,
                               make_interleaver, receive, transmit)
@@ -37,8 +39,9 @@ class TestChainConfig:
             == pytest.approx(1/4)
 
     def test_4b6b_inner_rate(self):
-        from vlclink.pipeline import INNER_RATES
-        assert float(INNER_RATES["4b6b"]) == pytest.approx(2/3)
+        code = pipeline.INNER_CODES["4b6b"]
+        assert code.rate == pytest.approx(2/3)
+        assert code.encode(np.zeros((1, 8), np.uint8)).shape == (1, 12)
 
     def test_builtin_operating_sizes(self):
         cfgs = builtin_configs()
@@ -52,17 +55,49 @@ class TestChainConfig:
         for scheme in SCHEMES:
             cfg = make_chain(scheme, k=120)
             assert cfg.n == round(cfg.n_steps / float(cfg.outer_rate))
-            assert cfg.n_tx == round(cfg.n_steps / float(cfg.ideal_rate))
-            assert cfg.n_tx == cfg.n_line   # dimming preserves length
+            assert cfg.n_line == round(cfg.n_steps / float(cfg.ideal_rate))
+            assert cfg.dim.frame_len == cfg.n_line  # dimming keeps length
 
     def test_d60_frame_budget(self):
         cfg = make_chain("cc-split-phase-dim60", k=512)
         # 512 info + 2 tail -> 1028 coded -> 2056 transmitted symbols
-        assert cfg.n_tx == 2056
+        assert cfg.n_line == 2056
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             make_chain("cc-8b10b", k=64)
+
+    @pytest.mark.parametrize("k, iterations", [(0, 30), (-5, 30), (64, 0),
+                                               (64, -1)])
+    def test_counts_below_one_rejected(self, k, iterations):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            make_chain("cc-split-phase", k=k, iterations=iterations)
+
+    def test_padding_is_minimal(self):
+        """k_pad is the smallest k' >= k that frames, by rules written out
+        here: the rate-1/2 memory-2 outer code adds 2 tail steps; the
+        rate-2/3 puncture has period 2 and keeps 3 of every 4 code bits;
+        4B6B maps 4 interleaver bits to 6 line bits, the other inner codes
+        1 bit to 2; the line frame is even (whole pairs for dimming)."""
+        punctured = {"cc-4b6b": False, "cc-split-phase-dim60": False}
+        symbol = {"cc-4b6b": (4, 6)}        # (input bits, line bits)
+
+        def frames(scheme, k_pad):
+            steps = k_pad + 2
+            if punctured.get(scheme, True):
+                if steps % 2:
+                    return False
+                n = 3 * steps // 2
+            else:
+                n = 2 * steps
+            q_in, q_out = symbol.get(scheme, (1, 2))
+            return n % q_in == 0 and n // q_in * q_out % 2 == 0
+
+        for scheme in SCHEMES:
+            for k in range(1, 201):
+                want = next(kp for kp in itertools.count(k)
+                            if frames(scheme, kp))
+                assert make_chain(scheme, k).k_pad == want, (scheme, k)
 
 
 class TestTransmitReceive:
@@ -139,7 +174,7 @@ class TestTransmitReceive:
         cfg = make_chain("cc-split-phase", k=96)
         from vlclink.codes import FramingError
         with pytest.raises(FramingError):
-            receive(np.zeros((1, cfg.n_tx + 2)), cfg, 1.0)
+            receive(np.zeros((1, cfg.n_line + 2)), cfg, 1.0)
         with pytest.raises(FramingError):
             transmit(np.zeros((1, 95), dtype=np.uint8), cfg, 1.0,
                      np.random.default_rng(0))
@@ -158,7 +193,7 @@ class TestTransmitReceive:
         u = rng.integers(0, 2, (4, 512)).astype(np.uint8)
         tx = pipeline.encode_chain(u, cfg)["tx"]
         for row in tx:
-            assert abs(row.mean() - 0.6) <= 1 / cfg.n_tx
+            assert abs(row.mean() - 0.6) <= 1 / cfg.n_line
 
 
 def _waterfall_batch():
@@ -218,3 +253,32 @@ class TestActiveSet:
         assert (trace.mi_ext_outer[0] > 0).all()
         with pytest.raises(ValueError, match="true_u"):
             receive(y, cfg, s2, collect_trace=True)
+
+
+class TestInnerCodeDispatch:
+    """Each inner code decodes through its siso function, looked up on the
+    module at call time, so a wrapper installed there sees every call."""
+
+    DECODER = {"split-phase": "bcjr_extrinsic", "bmc": "bcjr_extrinsic",
+               "manchester": "map_manchester", "4b6b": "map_lut"}
+
+    def _spy(self, monkeypatch):
+        called = []
+        for name in set(self.DECODER.values()):
+            def spy(*args, _name=name, _fn=getattr(siso, name), **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(siso, name, spy)
+        return called
+
+    @pytest.mark.parametrize("inner", sorted(DECODER))
+    def test_receive_and_inner_curve(self, monkeypatch, inner):
+        called = self._spy(monkeypatch)
+        cfg = make_chain(f"cc-{inner}", k=32, iterations=2)
+        rng = np.random.default_rng(30)
+        u = rng.integers(0, 2, (2, 32)).astype(np.uint8)
+        receive(transmit(u, cfg, 0.3, rng), cfg, 0.3, true_u=u)
+        assert set(called) == {self.DECODER[inner]}
+        called.clear()
+        exitchart.inner_curve(inner, 0.3, grid=[0.0, 0.5], samples=256)
+        assert called == [self.DECODER[inner]] * 2

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from vlclink import codes, siso
-from vlclink.siso import (bcjr_decode, bcjr_extrinsic, clamp_llr, gamma_llr,
-                          gamma_ook, gamma_table_llr, gamma_table_ook,
-                          map_lut, map_manchester)
+from vlclink.siso import (bcjr_decode, bcjr_extrinsic, clamp_llr,
+                          gamma_table_llr, gamma_table_ook, map_lut,
+                          map_manchester)
 
 import oracles
+from oracles import gamma_llr, gamma_ook
 
 
 class TestGammaOok:
