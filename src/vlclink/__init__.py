@@ -9,8 +9,8 @@ from .dimming import DimmingConfig, dim_decode, dim_encode, plan_dimming
 from .exitchart import (ExitCurve, ThresholdResult, find_threshold,
                         inner_curve, j_function, j_inverse, measure_mi,
                         outer_curve, record_trajectory)
-from .pipeline import (ChainConfig, builtin_configs, make_chain,
-                       make_interleaver, receive, transmit)
+from .pipeline import (ChainConfig, make_chain, make_interleaver, receive,
+                       transmit)
 from .siso import bcjr_decode, bcjr_extrinsic, map_lut, map_manchester
 
 __version__ = "0.1.0"

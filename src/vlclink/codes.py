@@ -24,7 +24,8 @@ class FramingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TrellisSpec:
-    """Deterministic finite-state encoder with one input bit per step.
+    """Deterministic finite-state encoder with one input bit per step,
+    starting in state 0.
 
     next_state[s, a] and output_bits[s, a, :] describe the transition taken
     from state s on input bit a.
@@ -35,7 +36,6 @@ class TrellisSpec:
     outputs_per_step: int
     next_state: np.ndarray      # (S, 2) int
     output_bits: np.ndarray     # (S, 2, outputs_per_step) uint8
-    initial_state: int = 0
     termination: str = "none"   # "none" | "tail-to-zero"
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ def encode(spec: TrellisSpec, bits: np.ndarray) -> np.ndarray:
     bits = np.atleast_2d(bits)
     B, n_steps = bits.shape
 
-    state = np.full(B, spec.initial_state, dtype=np.int64)
+    state = np.zeros(B, dtype=np.int64)
     out = np.empty((B, n_steps, spec.outputs_per_step), dtype=np.uint8)
     for l in range(n_steps):
         a = bits[:, l]
@@ -152,7 +152,7 @@ def build_outer_cc() -> TrellisSpec:
             ob[s, u] = (u, parity)
     return TrellisSpec(name="cc-rsc-5/7", num_states=4,
                        outputs_per_step=2, next_state=ns, output_bits=ob,
-                       initial_state=0, termination="tail-to-zero")
+                       termination="tail-to-zero")
 
 
 def build_split_phase() -> TrellisSpec:

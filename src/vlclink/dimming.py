@@ -43,10 +43,6 @@ class DimmingConfig:
     def p(self) -> int:
         return int(self.puncture_positions.size)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.p == 0
-
 
 def _spread(count: int, total: int) -> np.ndarray:
     """count distinct indices spread evenly over range(total)."""
@@ -83,8 +79,6 @@ def dim_encode(c: np.ndarray, cfg: DimmingConfig) -> np.ndarray:
     if c.shape[-1] != cfg.frame_len:
         raise FramingError(f"frame length {c.shape[-1]}, expected "
                            f"{cfg.frame_len}")
-    if cfg.is_identity:
-        return c.copy()
     out = np.empty(c.shape, dtype=c.dtype)
     out[..., cfg.insertion_positions] = cfg.compensation_value
     out[..., cfg.data_slots] = c[..., cfg.kept_positions]
@@ -102,8 +96,6 @@ def dim_decode(y: np.ndarray, cfg: DimmingConfig) -> np.ndarray:
     if y.shape[-1] != cfg.frame_len:
         raise FramingError(f"frame length {y.shape[-1]}, expected "
                            f"{cfg.frame_len}")
-    if cfg.is_identity:
-        return y.copy()
     out = np.zeros(y.shape, dtype=np.float64)
     out[..., cfg.kept_positions] = y[..., cfg.data_slots]
     return out

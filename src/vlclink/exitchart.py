@@ -198,13 +198,13 @@ def _tunnel_gap(inner: ExitCurve, outer: ExitCurve, eps: float) -> float:
 def find_threshold(inner: str, rate: Fraction | float, es: float,
                    outer_curve_measured: ExitCurve,
                    lo_db: float = 2.0, hi_db: float = 7.0,
-                   resolution_db: float = 0.05, eps: float = 0.01,
-                   grid=None, samples: int = 100_000,
+                   resolution_db: float = 0.05, samples: int = 100_000,
                    seed: int = 0) -> ThresholdResult:
     """Smallest Eb/N0 (on the resolution grid) with an open decoding tunnel.
 
-    Bisection over Eb/N0 with common random numbers per point; the bracket
-    is verified: open at the reported point, closed one step below.
+    The tunnel must be open on DEFAULT_GRID up to I = 0.99.  Bisection
+    over Eb/N0 with common random numbers per point; the bracket is
+    verified: open at the reported point, closed one step below.
     """
     if resolution_db <= 0:
         raise ValueError("resolution must be positive")
@@ -214,9 +214,9 @@ def find_threshold(inner: str, rate: Fraction | float, es: float,
     def gap_at(ebn0):
         if ebn0 not in gaps:
             s2 = ebn0_to_sigma2(ebn0, float(rate), es)
-            c = inner_curve(inner, s2, grid=grid, samples=samples, seed=seed,
+            c = inner_curve(inner, s2, samples=samples, seed=seed,
                             ebn0_db=ebn0)
-            gaps[ebn0] = _tunnel_gap(c, outer_curve_measured, eps)
+            gaps[ebn0] = _tunnel_gap(c, outer_curve_measured, 0.01)
         return gaps[ebn0]
 
     if gap_at(lo_db) > 0:

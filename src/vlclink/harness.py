@@ -12,7 +12,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,14 +76,15 @@ _INT_KEYS = {"k", "iterations", "max_blocks", "target_errors", "batch",
              "trajectory_blocks"}
 _FLOAT_KEYS = {"exit_ebn0_db", "threshold_lo_db", "threshold_hi_db",
                "threshold_resolution_db"}
-# smallest allowed value of each count
+# smallest allowed value of each count and seed
 _MINIMUM = {"k": 1, "iterations": 1, "batch": 1, "max_blocks": 1,
             "target_errors": 1, "workers": 1, "exit_samples": 1,
-            "trajectory_blocks": 0}
+            "trajectory_blocks": 0, "seed": 0, "interleaver_seed": 0}
 
 
-def parse_config_text(text: str) -> dict:
-    cfg = dict(DEFAULTS)
+def _read_pairs(text: str) -> dict:
+    """The key = value pairs of a config file, as strings."""
+    pairs = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#")[0].strip()
         if not line:
@@ -94,8 +95,22 @@ def parse_config_text(text: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        cfg[key] = val
-    return _coerce(cfg)
+        pairs[key] = val
+    return pairs
+
+
+def parse_config_text(text: str) -> dict:
+    return _coerce(dict(DEFAULTS, **_read_pairs(text)))
+
+
+def _number(key: str, val) -> float:
+    try:
+        x = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key {key!r}: expected number, got {val!r}")
+    if not np.isfinite(x):
+        raise ConfigError(f"key {key!r}: must be finite, got {val!r}")
+    return x
 
 
 def _coerce(cfg: dict) -> dict:
@@ -109,26 +124,31 @@ def _coerce(cfg: dict) -> dict:
         if out[k] < least:
             raise ConfigError(f"key {k!r}: must be >= {least}, got {out[k]}")
     for k in _FLOAT_KEYS:
-        try:
-            out[k] = float(out[k])
-        except (TypeError, ValueError):
-            raise ConfigError(f"key {k!r}: expected number, got {out[k]!r}")
-    out["genie"] = str(out["genie"]).lower() in ("1", "true", "yes", "on")
+        out[k] = _number(k, out[k])
+    if out["threshold_resolution_db"] <= 0:
+        raise ConfigError("key 'threshold_resolution_db': must be > 0, got "
+                          f"{out['threshold_resolution_db']}")
+    if out["threshold_lo_db"] >= out["threshold_hi_db"]:
+        raise ConfigError("key 'threshold_lo_db': must be below "
+                          f"threshold_hi_db, got {out['threshold_lo_db']} "
+                          f">= {out['threshold_hi_db']}")
+    genie = str(out["genie"]).lower()
+    if genie not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ConfigError(f"key 'genie': expected 1/0, true/false, yes/no "
+                          f"or on/off, got {out['genie']!r}")
+    out["genie"] = genie in ("1", "true", "yes", "on")
     if out["d"] is None or not str(out["d"]).strip():
         out["d"] = None
     else:
-        out["d"] = float(out["d"])
-    if isinstance(out["ebn0_db"], (list, tuple)):
-        grid = [float(x) for x in out["ebn0_db"]]
-    else:
-        try:
-            grid = [float(s) for s in str(out["ebn0_db"]).split(",")
-                    if s.strip()]
-        except ValueError:
-            raise ConfigError(f"key 'ebn0_db': bad grid {out['ebn0_db']!r}")
+        out["d"] = _number("d", out["d"])
+        if not 0.0 < out["d"] < 1.0:
+            raise ConfigError(f"key 'd': must lie in (0, 1), got {out['d']}")
+    grid = out["ebn0_db"]
+    if not isinstance(grid, (list, tuple)):
+        grid = [s for s in str(grid).split(",") if s.strip()]
     if not grid:
         raise ConfigError("key 'ebn0_db': empty Eb/N0 grid")
-    out["ebn0_db"] = grid
+    out["ebn0_db"] = [_number("ebn0_db", x) for x in grid]
     if out["scheme"] not in pipeline.SCHEMES:
         raise ConfigError(f"key 'scheme': unknown scheme {out['scheme']!r}")
     return out
@@ -142,15 +162,9 @@ def load_config(path: str | Path, preset: str | None = None,
             raise ConfigError(f"unknown preset {preset!r}")
         base.update(PRESETS[preset])
     if path is not None:
-        text = Path(path).read_text()
-        file_cfg = parse_config_text(text)
-        # parse_config_text applies defaults; keep only explicit keys
-        explicit = {}
-        for raw in text.splitlines():
-            line = raw.split("#")[0].strip()
-            if line and "=" in line:
-                explicit[line.split("=", 1)[0].strip()] = None
-        base.update({k: v for k, v in file_cfg.items() if k in explicit})
+        pairs = _read_pairs(Path(path).read_text())
+        _coerce(dict(DEFAULTS, **pairs))        # the file is valid alone
+        base.update(pairs)
     if overrides:
         base.update({k: v for k, v in overrides.items() if v is not None})
     return _coerce({k: base[k] for k in DEFAULTS})
@@ -183,29 +197,24 @@ class StreamMetrics:
     ones_fraction: float
     max_run_0: int
     max_run_1: int
-    run_histogram: dict[int, int] = field(default_factory=dict)
 
 
 def stream_metrics(bits: np.ndarray) -> StreamMetrics:
     """Ones density and run-length statistics of a bit stream, single pass."""
     bits = np.asarray(bits).ravel()
     if bits.size == 0:
-        return StreamMetrics(0.0, 0, 0, {})
+        return StreamMetrics(0.0, 0, 0)
     change = np.flatnonzero(np.diff(bits)) + 1
     starts = np.concatenate([[0], change])
     ends = np.concatenate([change, [bits.size]])
     lengths = ends - starts
     symbols = bits[starts]
-    hist: dict[int, int] = {}
-    for ln in lengths:
-        hist[int(ln)] = hist.get(int(ln), 0) + 1
     runs0 = lengths[symbols == 0]
     runs1 = lengths[symbols == 1]
     return StreamMetrics(
         ones_fraction=float(bits.mean()),
         max_run_0=int(runs0.max()) if runs0.size else 0,
-        max_run_1=int(runs1.max()) if runs1.size else 0,
-        run_histogram=hist)
+        max_run_1=int(runs1.max()) if runs1.size else 0)
 
 
 # ---------------------------------------------------------------------------

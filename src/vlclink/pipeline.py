@@ -206,21 +206,6 @@ def make_chain(scheme: str, k: int, iterations: int = 30,
                        d=d, interleaver_seed=interleaver_seed)
 
 
-def builtin_configs() -> dict[str, ChainConfig]:
-    """The four overall-rate-1/3 schemes at full operating size, plus the
-    rate-1/4 60%-dimming scheme with its 512-bit message."""
-    cfgs = {
-        "cc-4b6b": make_chain("cc-4b6b", k=16382, iterations=100),
-        "cc-manchester": make_chain("cc-manchester", k=21844, iterations=100),
-        "cc-bmc": make_chain("cc-bmc", k=21844, iterations=100),
-        "cc-split-phase": make_chain("cc-split-phase", k=21844,
-                                     iterations=100),
-        "cc-split-phase-dim60": make_chain("cc-split-phase-dim60", k=512,
-                                           iterations=100),
-    }
-    return cfgs
-
-
 # ---------------------------------------------------------------------------
 # Transmit
 # ---------------------------------------------------------------------------

@@ -71,23 +71,16 @@ def gamma_table_ook(trellis: TrellisSpec, y: np.ndarray, prior: np.ndarray,
     return g
 
 
-def gamma_table_llr(trellis: TrellisSpec, code_prior: np.ndarray,
-                    input_prior: np.ndarray | None = None) -> np.ndarray:
+def gamma_table_llr(trellis: TrellisSpec,
+                    code_prior: np.ndarray) -> np.ndarray:
     """Vectorized a-priori-only metric table, shape (B, n_sections, S, A).
 
     code_prior: (B, n_sections, outputs_per_step) LLRs on the label bits.
     """
     cp = clamp_llr(np.asarray(code_prior, dtype=np.float64))
-    if cp.ndim == 2:
-        cp = cp[None]
     _check_finite("code prior", cp)
     c = trellis.output_bits.astype(np.float64)
-    g = np.einsum("blj,saj->blsa", cp, c)
-    if input_prior is not None:
-        ip = np.atleast_2d(np.asarray(input_prior, np.float64))
-        _check_finite("input prior", ip)
-        g[..., 1] += clamp_llr(ip)[..., None]
-    return g
+    return np.einsum("blj,saj->blsa", cp, c)
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +101,6 @@ class DecoderWorkspace:
     gamma: np.ndarray           # (B, n, S, A)
     alpha_norm: np.ndarray      # (B, n+1)
     beta_norm: np.ndarray       # (B, n+1)
-
-    def total_log_prob(self) -> np.ndarray:
-        """LSE over states of the unnormalized alpha + beta, per section.
-
-        Constant across sections for a consistent decode pass.
-        """
-        lse = np.logaddexp.reduce(self.alpha + self.beta, axis=-1)
-        return lse + self.alpha_norm + self.beta_norm
 
 
 # Cost model of one forward + backward pass, chunk by chunk: a fixed cost
@@ -160,7 +145,7 @@ def _forward_backward(trellis: TrellisSpec, gamma: np.ndarray,
     in_state, in_input = trellis.incoming()
 
     alpha = np.full((B, n + 1, S), _NEG)
-    alpha[:, 0, trellis.initial_state] = 0.0
+    alpha[:, 0, 0] = 0.0
     alpha_norm = np.zeros((B, n + 1))
     # gamma by (destination state, incoming edge), gathered once
     _scan(gamma[:, :, in_state, in_input], alpha, alpha_norm, in_state,
@@ -334,7 +319,6 @@ def _llr_from_partition(post: np.ndarray, mask: np.ndarray) -> np.ndarray:
 class BcjrResult:
     app_input: np.ndarray       # (B, n) a-posteriori LLRs of input bits
     app_output: np.ndarray      # (B, n, n_out) a-posteriori LLRs of label bits
-    workspace: DecoderWorkspace
 
 
 def _input_mask(trellis: TrellisSpec) -> np.ndarray:
@@ -354,39 +338,25 @@ def bcjr_decode(trellis: TrellisSpec, gamma: np.ndarray) -> BcjrResult:
         app_in if (mask == input_mask).all()
         else _llr_from_partition(post, mask)
         for mask in label_masks], axis=-1)
-    return BcjrResult(app_input=app_in, app_output=app_out, workspace=ws)
+    return BcjrResult(app_input=app_in, app_output=app_out)
 
 
-def bcjr_extrinsic(trellis: TrellisSpec, *, observations=None, prior=None,
-                   sigma2: float | None = None,
-                   code_prior=None) -> np.ndarray:
-    """Extrinsic LLRs on the trellis input bits.
+def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior=None,
+                   sigma2: float) -> np.ndarray:
+    """Extrinsic LLRs on the trellis input bits of an inner line code.
 
-    Inner line-code use: pass OOK `observations` + `prior` + `sigma2`.
-    Prior-only use: pass `code_prior` (per-label-bit LLRs) and optional
-    `prior` on input bits.  Result is app(input) minus the input prior.
+    From OOK `observations` of the label bits, input-bit `prior` LLRs
+    (zero if None) and the noise variance `sigma2`; the result is
+    app(input) minus the clamped prior.
     """
-    if observations is not None:
-        obs = np.atleast_2d(np.asarray(observations, np.float64))
-        n = obs.shape[-1] // trellis.outputs_per_step
-        if prior is None:
-            prior = np.zeros((obs.shape[0], n))
-        prior = np.atleast_2d(np.asarray(prior, np.float64))
-        if n == 0:
-            return np.zeros_like(prior)
-        gamma = gamma_table_ook(trellis, obs, prior, sigma2)
-    elif code_prior is not None:
-        cp = np.asarray(code_prior, np.float64)
-        if cp.ndim == 2:
-            cp = cp[None]
-        if prior is None:
-            prior = np.zeros(cp.shape[:2])
-        prior = np.atleast_2d(np.asarray(prior, np.float64))
-        if cp.shape[1] == 0:
-            return np.zeros_like(prior)
-        gamma = gamma_table_llr(trellis, cp, prior)
-    else:
-        raise ValueError("need observations or code_prior")
+    obs = np.atleast_2d(np.asarray(observations, np.float64))
+    n = obs.shape[-1] // trellis.outputs_per_step
+    if prior is None:
+        prior = np.zeros((obs.shape[0], n))
+    prior = np.atleast_2d(np.asarray(prior, np.float64))
+    if n == 0:
+        return np.zeros_like(prior)
+    gamma = gamma_table_ook(trellis, obs, prior, sigma2)
     ws = bcjr_forward_backward(trellis, gamma)
     app_in = _llr_from_partition(_posteriors(trellis, ws),
                                  _input_mask(trellis))

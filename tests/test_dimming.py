@@ -33,7 +33,7 @@ def test_plan_counts_d40():
 
 def test_identity_at_half():
     cfg = plan_dimming(1000, 0.5)
-    assert cfg.is_identity
+    assert cfg.p == 0
     c = _split_phase_frame(500)
     assert (dim_encode(c, cfg) == c).all()
     y = np.random.default_rng(1).normal(size=1000)

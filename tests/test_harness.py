@@ -42,15 +42,41 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("k", 0), ("iterations", 0), ("batch", 0), ("max_blocks", 0),
         ("target_errors", 0), ("workers", 0), ("exit_samples", 0),
-        ("k", -3), ("trajectory_blocks", -1)])
+        ("k", -3), ("trajectory_blocks", -1), ("seed", -1),
+        ("interleaver_seed", -1)])
     def test_count_below_minimum(self, key, value):
         with pytest.raises(ConfigError, match=f"'{key}'.*>="):
             harness.load_config(None, overrides={key: value})
 
     def test_genie_boolean_forms(self):
         for text, want in [("genie = off", False), ("genie = 1", True),
-                           ("genie = FALSE", False)]:
+                           ("genie = FALSE", False), ("genie = Yes", True),
+                           ("genie = no", False), ("genie = ON", True),
+                           ("genie = 0", False), ("genie = true", True)]:
             assert harness.parse_config_text(text)["genie"] is want
+        for value in (True, False):
+            cfg = harness.load_config(None, overrides={"genie": value})
+            assert cfg["genie"] is value
+
+    @pytest.mark.parametrize("text, key", [
+        ("d = abc", "d"), ("d = 1.5", "d"), ("d = 0", "d"), ("d = 1", "d"),
+        ("d = nan", "d"), ("genie = ture", "genie"), ("genie = 2", "genie"),
+        ("threshold_resolution_db = 0", "threshold_resolution_db"),
+        ("threshold_resolution_db = -0.1", "threshold_resolution_db"),
+        ("ebn0_db = nan", "ebn0_db"), ("ebn0_db = 4.0, inf", "ebn0_db"),
+        ("ebn0_db = 4.0, x", "ebn0_db"),
+        ("exit_ebn0_db = inf", "exit_ebn0_db"),
+        ("threshold_hi_db = -inf", "threshold_hi_db"),
+        ("threshold_lo_db = 7\nthreshold_hi_db = 2", "threshold_lo_db"),
+        ("threshold_lo_db = 3\nthreshold_hi_db = 3", "threshold_lo_db")])
+    def test_bad_value_rejected(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            harness.parse_config_text(text)
+        # the same through a config file, under a preset
+        p = tmp_path / "c.cfg"
+        p.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            harness.load_config(p, preset="dim60")
 
     def test_preset_layering(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -83,7 +109,6 @@ class TestStreamMetrics:
         assert m.ones_fraction == pytest.approx(4 / 7)
         assert m.max_run_0 == 2
         assert m.max_run_1 == 3
-        assert m.run_histogram == {1: 2, 2: 1, 3: 1}
 
     def test_empty(self):
         m = harness.stream_metrics(np.array([], dtype=np.uint8))
@@ -180,9 +205,11 @@ class TestCli:
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
-        p.write_text("voltage = 5\n")
-        assert cli.main(["ber", "--config", str(p)]) == 2
-        assert "voltage" in capsys.readouterr().err
+        for command, text, name in (("ber", "voltage = 5\n", "voltage"),
+                                    ("metrics", "d = abc\n", "'d'")):
+            p.write_text(text)
+            assert cli.main([command, "--config", str(p)]) == 2
+            assert name in capsys.readouterr().err
 
     def test_ber_subcommand(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"

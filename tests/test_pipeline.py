@@ -5,8 +5,8 @@ import pytest
 
 from vlclink import exitchart, pipeline, siso
 from vlclink.channel import ebn0_to_sigma2
-from vlclink.pipeline import (SCHEMES, builtin_configs, make_chain,
-                              make_interleaver, receive, transmit)
+from vlclink.pipeline import (SCHEMES, make_chain, make_interleaver, receive,
+                              transmit)
 
 
 class TestInterleaver:
@@ -26,10 +26,18 @@ class TestInterleaver:
         assert np.sort(il.perm).tolist() == list(range(32768))
 
 
+def full_size_chains():
+    """The four overall-rate-1/3 schemes at full operating size, plus the
+    rate-1/4 60%-dimming scheme with its 512-bit message."""
+    sizes = {"cc-4b6b": 16382, "cc-manchester": 21844, "cc-bmc": 21844,
+             "cc-split-phase": 21844, "cc-split-phase-dim60": 512}
+    return {s: make_chain(s, k=k, iterations=100) for s, k in sizes.items()}
+
+
 class TestChainConfig:
 
     def test_builtin_rates(self):
-        cfgs = builtin_configs()
+        cfgs = full_size_chains()
         assert set(cfgs) == set(SCHEMES)
         assert float(cfgs["cc-split-phase"].ideal_rate) == pytest.approx(1/3)
         assert float(cfgs["cc-4b6b"].ideal_rate) == pytest.approx(1/3)
@@ -44,7 +52,7 @@ class TestChainConfig:
         assert code.encode(np.zeros((1, 8), np.uint8)).shape == (1, 12)
 
     def test_builtin_operating_sizes(self):
-        cfgs = builtin_configs()
+        cfgs = full_size_chains()
         assert abs(cfgs["cc-split-phase"].n - 32768) <= 4
         assert cfgs["cc-4b6b"].n == 32768
         assert cfgs["cc-split-phase-dim60"].k_user == 512
