@@ -16,11 +16,16 @@ def block_rng(master_seed: int, *index: int) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=tuple(index)))
 
 
+def check_sigma2(sigma2) -> None:
+    """Reject a noise variance that is not positive and finite."""
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+
+
 def awgn(x: np.ndarray, sigma2: float,
          rng: np.random.Generator) -> np.ndarray:
     """y = x + n with n iid Gaussian, mean zero, variance sigma2."""
-    if not (np.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    check_sigma2(sigma2)
     x = np.asarray(x, dtype=np.float64)
     return x + rng.normal(0.0, np.sqrt(sigma2), size=x.shape)
 

@@ -185,15 +185,8 @@ def build_bmc() -> TrellisSpec:
                        outputs_per_step=2, next_state=ns, output_bits=ob)
 
 
-def encode_manchester(v: np.ndarray) -> np.ndarray:
-    """Memoryless map 0 -> 01, 1 -> 10 (rate 1/2, balanced pairs)."""
-    v = np.asarray(v, dtype=np.uint8)
-    out = np.stack([v, 1 - v], axis=-1)
-    return out.reshape(*v.shape[:-1], -1)
-
-
 # ---------------------------------------------------------------------------
-# LUT codes (4B6B)
+# LUT codes (Manchester, 4B6B)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +231,15 @@ def parse_lut_table(text: str, input_width: int = 4,
     if not seen.all():
         raise ValueError("table incomplete")
     return table
+
+
+@lru_cache(maxsize=1)
+def build_manchester() -> LutCodeSpec:
+    """Memoryless map 0 -> 01, 1 -> 10 (rate 1/2, balanced pairs)."""
+    spec = LutCodeSpec(name="manchester", input_width=1, output_width=2,
+                       table=[[0, 1], [1, 0]])
+    spec.table.flags.writeable = False      # one instance is shared
+    return spec
 
 
 @lru_cache(maxsize=1)

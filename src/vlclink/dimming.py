@@ -18,7 +18,6 @@ from .codes import FramingError
 
 @dataclass(frozen=True, eq=False)
 class DimmingConfig:
-    target_d: float
     frame_len: int
     puncture_positions: np.ndarray   # sorted indices into the line-coded frame
     insertion_positions: np.ndarray  # sorted indices into the transmitted frame
@@ -68,8 +67,8 @@ def plan_dimming(frame_len: int, d: float) -> DimmingConfig:
     pairs = _spread(p // 2, frame_len // 2)
     punct = np.sort(np.concatenate([2 * pairs, 2 * pairs + 1]))
     ins = _spread(p, frame_len)
-    return DimmingConfig(target_d=d, frame_len=frame_len,
-                         puncture_positions=punct, insertion_positions=ins,
+    return DimmingConfig(frame_len=frame_len, puncture_positions=punct,
+                         insertion_positions=ins,
                          compensation_value=1 if d > 0.5 else 0)
 
 

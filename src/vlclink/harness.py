@@ -117,9 +117,11 @@ def _coerce(cfg: dict) -> dict:
     out = dict(cfg)
     for k in _INT_KEYS:
         try:
-            out[k] = int(out[k])
-        except (TypeError, ValueError):
-            raise ConfigError(f"key {k!r}: expected integer, got {out[k]!r}")
+            out[k] = int(cfg[k])
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"key {k!r}: expected integer, got {cfg[k]!r}")
+        if not isinstance(cfg[k], str) and out[k] != cfg[k]:
+            raise ConfigError(f"key {k!r}: expected integer, got {cfg[k]!r}")
     for k, least in _MINIMUM.items():
         if out[k] < least:
             raise ConfigError(f"key {k!r}: must be >= {least}, got {out[k]}")

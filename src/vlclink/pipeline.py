@@ -51,12 +51,13 @@ INNER_CODES = {c.name: c for c in (
                   codes.build_bmc(), observations=y, prior=prior,
                   sigma2=sigma2)),
     InnerCode("manchester", Fraction(1, 2), 1,
-              lambda v: codes.encode_manchester(v),
-              lambda y, prior, sigma2: siso.map_manchester(y, prior, sigma2)),
+              lambda v: codes.encode_lut(codes.build_manchester(), v),
+              lambda y, prior, sigma2: siso.map_lut(
+                  codes.build_manchester(), y, prior, sigma2=sigma2)),
     InnerCode("4b6b", Fraction(2, 3), 4,
               lambda v: codes.encode_lut(codes.build_4b6b(), v),
-              lambda y, prior, sigma2: siso.map_lut(codes.build_4b6b(), y,
-                                                    prior, sigma2)),
+              lambda y, prior, sigma2: siso.map_lut(
+                  codes.build_4b6b(), y, prior, sigma2=sigma2)),
 )}
 
 

@@ -3,12 +3,14 @@
 Exact log-MAP BCJR over any TrellisSpec, with either the on-off-keying
 channel transition metric (inner line-code decoders) or a pure a-priori
 LLR metric (outer FEC decoder, which has no channel port).  Memoryless
-codes (Manchester, 4B6B) get direct per-symbol MAP marginalization.
+block codes (Manchester, 4B6B) get direct per-symbol MAP marginalization.
+Both inner decoders score OOK observations with one metric, _ook_metric.
 
 All decoders are batched: leading axis = independent blocks.  LLR sign
 convention is L = ln P(bit=1)/P(bit=0).  Priors are clamped to +-LLR_CLAMP
-before exponentiation; extrinsic outputs subtract the clamped prior so the
-exclusion is exact.
+before exponentiation; the BCJR's extrinsic outputs subtract the clamped
+prior, and map_lut leaves each bit's own prior out, so the exclusion is
+exact.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import check_sigma2
 from .codes import LutCodeSpec, TrellisSpec
 
 LLR_CLAMP = 50.0
@@ -33,25 +36,29 @@ def _check_finite(name, x):
         raise ValueError(f"non-finite values in {name}")
 
 
-def _check_sigma2(sigma2):
-    if not (np.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-
-
 # ---------------------------------------------------------------------------
 # Transition metrics
 # ---------------------------------------------------------------------------
 
+def _ook_metric(ys: np.ndarray, labels: np.ndarray,
+                sigma2: float) -> np.ndarray:
+    """OOK channel log-likelihood of each candidate label, shape (B, n, L).
+
+    ys (B, n, w) observes n labels of w bits; labels (L, w) are the
+    candidates.  (1/2 sigma^2) * sum_j (2 y_j c_j - y_j^2) over the bits
+    c_j of a label, computed as y.c/sigma^2 - |y|^2/(2 sigma^2) without a
+    (B, n, L, w) temporary.
+    """
+    g = (ys / sigma2) @ labels.astype(np.float64).T
+    g -= np.einsum("bnj,bnj->bn", ys, ys)[..., None] / (2.0 * sigma2)
+    return g
+
+
 def gamma_table_ook(trellis: TrellisSpec, y: np.ndarray, prior: np.ndarray,
                     sigma2: float) -> np.ndarray:
-    """Vectorized OOK metric table, shape (B, n_sections, S, A).
-
-    input_bit * prior + (1/2 sigma^2) * sum_j (2 y_j c_j - y_j^2) over the
-    bits c_j of each transition's output label, computed as
-    y.c/sigma^2 - |y|^2/(2 sigma^2) per section without a
-    (B, n, S, A, n_out) temporary.
-    """
-    _check_sigma2(sigma2)
+    """Vectorized OOK metric table, shape (B, n_sections, S, A): the OOK
+    metric of each transition's output label plus input_bit * prior."""
+    check_sigma2(sigma2)
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     prior = np.atleast_2d(np.asarray(prior, dtype=np.float64))
     _check_finite("observations", y)
@@ -61,11 +68,9 @@ def gamma_table_ook(trellis: TrellisSpec, y: np.ndarray, prior: np.ndarray,
     n = y.shape[-1] // n_out
     if y.shape[-1] != n * n_out or prior.shape[-1] != n:
         raise ValueError("observation/prior lengths inconsistent with trellis")
-    ys = y.reshape(B, n, n_out)
     S, A, _ = trellis.output_bits.shape
-    c = trellis.output_bits.reshape(S * A, n_out).astype(np.float64)
-    g = (ys / sigma2) @ c.T                              # (B, n, S*A)
-    g -= np.einsum("bnj,bnj->bn", ys, ys)[..., None] / (2.0 * sigma2)
+    g = _ook_metric(y.reshape(B, n, n_out),
+                    trellis.output_bits.reshape(S * A, n_out), sigma2)
     g = g.reshape(B, n, S, A)
     g[..., 1] += clamp_llr(prior)[..., None]
     return g
@@ -174,12 +179,13 @@ def _scan(g, out, norm, src, chunk: int) -> None:
 
     The first K = n // chunk chunks are scanned in three phases: (1) each
     chunk's end-to-end transfer from every start state, vectorised over
-    chunks; (2) a sequential pass over the chunk boundaries; (3) the
-    ordinary recursion inside every chunk from its true start metric,
-    vectorised over chunks.  The n mod chunk remaining sections follow
-    sequentially.  With chunk = n this is the plain per-section recursion.
-    Work arrays are state-major, (S, ..., B, K), so that numpy's inner loops
-    run over blocks and chunks rather than over the few states.
+    chunks; (2) the same recursion over the chunk boundaries, on the dense
+    trellis whose edge from state a to state s weighs the transfer a -> s;
+    (3) the ordinary recursion inside every chunk from its true start
+    metric, vectorised over chunks.  The n mod chunk remaining sections
+    follow sequentially.  With chunk = n this is the plain per-section
+    recursion.  Work arrays are state-major, (S, ..., B, K), so that numpy's
+    inner loops run over blocks and chunks rather than over the few states.
     """
     B, n, S, A = g.shape
     chunk = max(1, min(chunk, n))
@@ -192,7 +198,12 @@ def _scan(g, out, norm, src, chunk: int) -> None:
     cur, cur_norm = out[:, 0].T[..., None], norm[:, :1]
     if K > 1:
         trans = _chunk_transfers(g_chunks[..., :-1], src)
-        cur, cur_norm = _chunk_starts(cur, cur_norm, trans)
+        starts, norms = np.empty((S, B, K)), np.empty((B, K))
+        starts[..., :1], norms[:, :1] = cur, cur_norm
+        _recurse(trans.transpose(3, 1, 0, 2)[..., None],
+                 starts.transpose(2, 0, 1)[1:, ..., None],
+                 norms.T[1:, :, None], cur, cur_norm, None)
+        cur, cur_norm = starts, norms
     _recurse(g_chunks, out_chunks.transpose(2, 3, 0, 1),
              norm_chunks.transpose(2, 0, 1), cur, cur_norm, src)
     _recurse(g[:, m:].transpose(1, 2, 3, 0)[..., None],
@@ -260,34 +271,16 @@ def _chunk_transfers(g, src) -> np.ndarray:
     return trans
 
 
-def _chunk_starts(first, first_norm, trans):
-    """Phase 2: normalised metric (S, B, K+1) and offset (B, K+1) at every
-    chunk start, from the first chunk's start and the K transfers.
-
-    Each step merges an (S, S, B) array, so its cost is per numpy call, and
-    one np.logaddexp.reduce is cheaper here than _logsumexp's several calls.
-    """
-    S, _, B, K = trans.shape
-    starts = np.empty((S, B, K + 1))
-    norms = np.empty((B, K + 1))
-    starts[..., :1], norms[:, :1] = first, first_norm
-    for k in range(K):
-        nxt = np.logaddexp.reduce(starts[:, None, :, k] + trans[..., k],
-                                  axis=0)
-        m = nxt.max(axis=0)
-        starts[..., k + 1] = nxt - m
-        norms[:, k + 1] = norms[:, k] + m
-    return starts, norms
-
-
 def _recurse(g, out, norm, cur, cur_norm, src) -> None:
-    """Phase 3: the per-section recursion inside all chunks at once.
+    """Phases 2 and 3: the per-section recursion, in all K chunks at once.
 
     g (c, S, A, B, K); cur (S, B, K) and cur_norm (B, K) are the chunk
     starts; out (c, S, B, K) and norm (c, B, K) receive each section's
-    normalised metric and accumulated offset.  The binary np.logaddexp
-    over the inputs' slices is bit-identical to np.logaddexp.reduce over
-    the input axis, and cheaper.
+    normalised metric and accumulated offset.  src (S, A) is the state
+    input a of state s comes from; None (cur[None] broadcasts) stands for
+    the dense trellis of phase 2, where input a comes from state a.  The
+    binary np.logaddexp over the inputs' slices is bit-identical to
+    np.logaddexp.reduce over the input axis, and cheaper.
     """
     for t in range(g.shape[0]):
         cand = cur[src] + g[t]
@@ -354,8 +347,6 @@ def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior=None,
     if prior is None:
         prior = np.zeros((obs.shape[0], n))
     prior = np.atleast_2d(np.asarray(prior, np.float64))
-    if n == 0:
-        return np.zeros_like(prior)
     gamma = gamma_table_ook(trellis, obs, prior, sigma2)
     ws = bcjr_forward_backward(trellis, gamma)
     app_in = _llr_from_partition(_posteriors(trellis, ws),
@@ -367,31 +358,17 @@ def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior=None,
 # Memoryless symbol-MAP decoders
 # ---------------------------------------------------------------------------
 
-def map_manchester(y: np.ndarray, prior=None,
-                   sigma2: float = 1.0) -> np.ndarray:
-    """Per-bit extrinsic for the 0->01 / 1->10 map.
-
-    Depends only on the bit's own observation pair; the prior of other
-    positions (and of the bit itself) never enters.
-    """
-    _check_sigma2(sigma2)
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape[-1] % 2:
-        raise ValueError("observation length must be even")
-    _check_finite("observations", y)
-    pairs = y.reshape(*y.shape[:-1], -1, 2)
-    return (pairs[..., 0] - pairs[..., 1]) / sigma2
-
-
-def map_lut(spec: LutCodeSpec, y: np.ndarray, prior=None,
-            sigma2: float = 1.0) -> np.ndarray:
+def map_lut(spec: LutCodeSpec, y: np.ndarray, prior=None, *,
+            sigma2: float) -> np.ndarray:
     """Per-input-bit extrinsic for a LUT code by codeword enumeration.
 
-    For each symbol, combines the OOK channel metric of the 2^k candidate
-    codewords with the a-priori LLRs of the symbol's input bits, then
-    marginalizes per bit, excluding that bit's own prior.
+    For each symbol and each of its input bits, combines the OOK channel
+    metric of the 2^k candidate codewords with the a-priori LLRs of the
+    symbol's other input bits, then marginalizes over that bit.  The bit's
+    own prior never enters, so a 1-bit code (Manchester) is exactly
+    prior-independent.
     """
-    _check_sigma2(sigma2)
+    check_sigma2(sigma2)
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     _check_finite("observations", y)
     iw, ow = spec.input_width, spec.output_width
@@ -406,16 +383,17 @@ def map_lut(spec: LutCodeSpec, y: np.ndarray, prior=None,
     _check_finite("prior", prior)
     pr = prior.reshape(B, nsym, iw)
 
-    ys = y.reshape(B, nsym, 1, ow)
-    tab = spec.table.astype(np.float64)                  # (2^iw, ow)
-    ch = (2.0 * ys * tab - ys * ys).sum(-1) / (2.0 * sigma2)  # (B, nsym, 2^iw)
+    ch = _ook_metric(y.reshape(B, nsym, ow), spec.table, sigma2)
     idx = np.arange(1 << iw)
-    msg_bits = ((idx[:, None] >> np.arange(iw - 1, -1, -1)) & 1)  # (2^iw, iw)
-    metric = ch + np.einsum("bnj,xj->bnx", pr, msg_bits.astype(np.float64))
+    msg_bits = ((idx[:, None] >> np.arange(iw - 1, -1, -1))
+                & 1).astype(np.float64)                  # (2^iw, iw)
 
     ext = np.empty((B, nsym, iw))
     for j in range(iw):
+        others = pr.copy()
+        others[..., j] = 0.0
+        metric = ch + others @ msg_bits.T
         sel = msg_bits[:, j] == 1
         ext[..., j] = (_logsumexp(metric[..., sel])
-                       - _logsumexp(metric[..., ~sel]) - pr[..., j])
+                       - _logsumexp(metric[..., ~sel]))
     return ext.reshape(B, nsym * iw)

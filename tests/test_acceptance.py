@@ -81,7 +81,7 @@ def test_1_oracle_equivalence():
         prior = rng.normal(0.0, 2.0, n)
         y = awgn(ook_modulate(rng.integers(0, 2, 2 * n)), s2, rng)
         ref = exhaustive_manchester_extrinsic(y, prior, s2)
-        got = siso.map_manchester(y, prior, s2)
+        got = siso.map_lut(codes.build_manchester(), y, prior, sigma2=s2)
         worst = max(worst, float(np.abs(got - ref).max()))
 
     lut = codes.build_4b6b()
@@ -91,7 +91,7 @@ def test_1_oracle_equivalence():
         prior = rng.normal(0.0, 2.0, 4 * nsym)
         y = awgn(ook_modulate(rng.integers(0, 2, 6 * nsym)), s2, rng)
         ref = exhaustive_lut_extrinsic(lut, y, prior, s2)
-        got = siso.map_lut(lut, y, prior, s2)
+        got = siso.map_lut(lut, y, prior, sigma2=s2)
         worst = max(worst, float(np.abs(got - ref).max()))
 
     dt = time.perf_counter() - t0
@@ -251,7 +251,8 @@ def test_7_run_length_bounds():
         "split-phase": (lambda v: codes.encode(codes.build_split_phase(), v),
                         2, 1),
         "bmc": (lambda v: codes.encode(codes.build_bmc(), v), 2, 1),
-        "manchester": (codes.encode_manchester, 2, 1),
+        "manchester": (
+            lambda v: codes.encode_lut(codes.build_manchester(), v), 2, 1),
         "4b6b": (lambda v: codes.encode_lut(codes.build_4b6b(), v), 4, 4),
     }
     worst = {}

@@ -56,6 +56,8 @@ def test_code_names():
     assert codes.build_split_phase().name == "split-phase"
     assert codes.build_outer_cc().name == "cc-rsc-5/7"
     assert codes.build_4b6b().name == "4b6b"
+    # Manchester decodes through map_lut too; Capture keeps only 4B6B's
+    assert codes.build_manchester().name == "manchester"
 
 
 def test_result_fields():

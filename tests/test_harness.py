@@ -48,6 +48,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"'{key}'.*>="):
             harness.load_config(None, overrides={key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", 2.7), ("seed", 1.9), ("iterations", 0.5),
+        ("exit_samples", float("inf")), ("batch", float("nan"))])
+    def test_non_integral_count_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'.*integer"):
+            harness.load_config(None, overrides={key: value})
+
+    def test_integral_float_count_accepted(self):
+        cfg = harness.load_config(None, overrides={"k": 3.0, "seed": 7.0})
+        assert type(cfg["k"]) is int and cfg["k"] == 3
+        want = harness.load_config(None, overrides={"k": 3, "seed": 7})
+        assert cfg == want
+        assert harness.config_digest(cfg) == harness.config_digest(want)
+
     def test_genie_boolean_forms(self):
         for text, want in [("genie = off", False), ("genie = 1", True),
                            ("genie = FALSE", False), ("genie = Yes", True),

@@ -268,7 +268,7 @@ class TestInnerCodeDispatch:
     module at call time, so a wrapper installed there sees every call."""
 
     DECODER = {"split-phase": "bcjr_extrinsic", "bmc": "bcjr_extrinsic",
-               "manchester": "map_manchester", "4b6b": "map_lut"}
+               "manchester": "map_lut", "4b6b": "map_lut"}
 
     def _spy(self, monkeypatch):
         called = []

@@ -3,8 +3,7 @@ import pytest
 
 from vlclink import codes, siso
 from vlclink.siso import (bcjr_decode, bcjr_extrinsic, clamp_llr,
-                          gamma_table_llr, gamma_table_ook, map_lut,
-                          map_manchester)
+                          gamma_table_llr, gamma_table_ook, map_lut)
 
 import oracles
 from oracles import gamma_llr, gamma_ook
@@ -119,7 +118,15 @@ class TestBcjrProperties:
             with pytest.raises(ValueError, match="sigma2"):
                 map_lut(codes.build_4b6b(), np.zeros(6), sigma2=sigma2)
             with pytest.raises(ValueError, match="sigma2"):
-                map_manchester(np.zeros(4), sigma2=sigma2)
+                map_lut(codes.build_manchester(), np.zeros(4), sigma2=sigma2)
+        # fewer observations than one section: still checked
+        with pytest.raises(ValueError, match="observations"):
+            bcjr_extrinsic(sp, observations=None, sigma2=1.0)
+        with pytest.raises(ValueError, match="lengths"):
+            bcjr_extrinsic(sp, observations=np.zeros(1), sigma2=1.0)
+        with pytest.raises(ValueError, match="sigma2"):
+            bcjr_extrinsic(sp, observations=np.zeros(0), prior=np.zeros(0),
+                           sigma2=np.nan)
         code_prior = np.zeros((1, 10, 2))
         code_prior[0, 4, 1] = np.nan
         with pytest.raises(ValueError, match="code prior"):
@@ -332,16 +339,18 @@ class TestManchesterMap:
         rng = np.random.default_rng(17)
         n = 12
         v = rng.integers(0, 2, n)
-        y = codes.encode_manchester(v) + rng.normal(0, 0.7, 2 * n)
-        got = map_manchester(y, sigma2=0.49)[0]
+        manchester = codes.build_manchester()
+        y = codes.encode_lut(manchester, v) + rng.normal(0, 0.7, 2 * n)
+        got = map_lut(manchester, y, sigma2=0.49)[0]
         want = oracles.exhaustive_manchester_extrinsic(y, np.zeros(n), 0.49)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_prior_independence_exact(self):
         rng = np.random.default_rng(18)
         y = rng.normal(0.5, 1, 16)
-        a = map_manchester(y, prior=np.zeros(8), sigma2=1.0)
-        b = map_manchester(y, prior=rng.normal(0, 10, 8), sigma2=1.0)
+        manchester = codes.build_manchester()
+        a = map_lut(manchester, y, prior=np.zeros(8), sigma2=1.0)
+        b = map_lut(manchester, y, prior=rng.normal(0, 10, 8), sigma2=1.0)
         np.testing.assert_array_equal(a, b)
 
 
@@ -355,7 +364,7 @@ class TestLutMap:
             sigma2 = float(rng.uniform(0.2, 2.0))
             y = codes.encode_lut(lut, v) + rng.normal(0, np.sqrt(sigma2), 12)
             prior = rng.normal(0, 2, 8)
-            got = map_lut(lut, y, prior, sigma2)[0]
+            got = map_lut(lut, y, prior, sigma2=sigma2)[0]
             want = oracles.exhaustive_lut_extrinsic(lut, y, prior, sigma2)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
