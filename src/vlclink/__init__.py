@@ -1,7 +1,7 @@
 """Serially concatenated FEC/line-code chain for visible light links."""
 
 from .channel import awgn, ebn0_to_sigma2, ook_modulate
-from .codes import (FramingError, LutCodeSpec, PuncturePattern,
+from .codes import (FramingError, LutCodeSpec, NO_PUNCTURE, PuncturePattern,
                     RATE_23_PUNCTURE, TrellisSpec, apply_puncture,
                     build_4b6b, build_bmc, build_manchester, build_outer_cc,
                     build_split_phase, encode, encode_lut, insert_erasures)

@@ -99,6 +99,14 @@ class TrellisSpec:
         return in_state, in_input
 
 
+def _as_bits(x) -> np.ndarray:
+    """x as an int64 array; ValueError unless every entry is 0 or 1."""
+    x = np.asarray(x)
+    if not ((x == 0) | (x == 1)).all():
+        raise ValueError("encoder input must hold only bits 0 and 1")
+    return x.astype(np.int64)
+
+
 def encode(spec: TrellisSpec, bits: np.ndarray) -> np.ndarray:
     """Run the encoder over one or a batch of input blocks.
 
@@ -106,7 +114,7 @@ def encode(spec: TrellisSpec, bits: np.ndarray) -> np.ndarray:
     termination appends `memory` extra steps (per-block tail inputs).
     Returns (..., n_steps_total * outputs_per_step) bit array.
     """
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = _as_bits(bits)
     single = bits.ndim == 1
     bits = np.atleast_2d(bits)
     B, n_steps = bits.shape
@@ -255,7 +263,7 @@ def build_4b6b() -> LutCodeSpec:
 
 def encode_lut(spec: LutCodeSpec, v: np.ndarray) -> np.ndarray:
     """Replace each input_width-bit symbol by its table entry (MSB first)."""
-    v = np.asarray(v, dtype=np.int64)
+    v = _as_bits(v)
     n = v.shape[-1]
     if n % spec.input_width:
         raise FramingError(f"input length {n} not divisible by "
@@ -307,6 +315,8 @@ class PuncturePattern:
 
 # Rate 1/2 -> 2/3: keep every systematic bit, drop every second parity bit.
 RATE_23_PUNCTURE = PuncturePattern(keep=np.array([[1, 1], [1, 0]], dtype=bool))
+# The unpunctured mother code: keep every bit (rate 1/2).
+NO_PUNCTURE = PuncturePattern(keep=np.ones((2, 1), dtype=bool))
 
 
 def apply_puncture(c: np.ndarray, pattern: PuncturePattern) -> np.ndarray:

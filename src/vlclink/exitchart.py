@@ -11,14 +11,13 @@ with the time-average estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import codes, pipeline
-from .channel import awgn, ebn0_to_sigma2, ook_modulate
+from .channel import awgn, ook_modulate
 
 LN2 = np.log(2.0)
 
@@ -138,31 +137,25 @@ def inner_curve(inner: str, sigma2: float, grid=None, samples: int = 100_000,
 _OUTER_BLOCK = 128      # message bits per independent outer-curve block
 
 
-def outer_curve(outer: codes.TrellisSpec,
-                puncture: codes.PuncturePattern | None, grid=None,
-                samples: int = 100_000, seed: int = 0) -> ExitCurve:
+def outer_curve(outer: codes.TrellisSpec, puncture: codes.PuncturePattern,
+                grid=None, samples: int = 100_000,
+                seed: int = 0) -> ExitCurve:
     """Measured transfer curve of the outer FEC decoder (prior-only input).
 
     Mutual information is measured on the extrinsics of the punctured
     (transmitted) code bits; `samples` counts code bits per point.
     """
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, np.float64)
-    k0 = _OUTER_BLOCK
-    steps = k0 + outer.memory
-    if puncture is not None and steps % puncture.period:
-        steps += puncture.period - steps % puncture.period
-        k0 = steps - outer.memory
-    coded_len = steps * outer.outputs_per_step
-    n_kept = (coded_len if puncture is None
-              else int(puncture.mask(coded_len).sum()))
+    steps = _OUTER_BLOCK + outer.memory
+    steps += -steps % puncture.period
+    k0 = steps - outer.memory
+    n_kept = int(puncture.mask(steps * outer.outputs_per_step).sum())
     nblocks = max(1, int(np.ceil(samples / n_kept)))
     values = []
     for gi, ia in enumerate(grid):
         rng = np.random.default_rng([seed, 7, gi])
         u = rng.integers(0, 2, size=(nblocks, k0)).astype(np.uint8)
-        coded = codes.encode(outer, u)
-        kept = (coded if puncture is None
-                else codes.apply_puncture(coded, puncture))
+        kept = codes.apply_puncture(codes.encode(outer, u), puncture)
         prior_kept = sample_priors(kept, j_inverse(float(ia)), rng)
         ext_kept, _ = pipeline.outer_extrinsic(outer, puncture, prior_kept)
         values.append(measure_mi(ext_kept, kept))
@@ -195,7 +188,7 @@ def _tunnel_gap(inner: ExitCurve, outer: ExitCurve, eps: float) -> float:
     return float(np.min(inner_vals - inv))
 
 
-def find_threshold(inner: str, rate: Fraction | float, es: float,
+def find_threshold(chain: pipeline.ChainConfig,
                    outer_curve_measured: ExitCurve,
                    lo_db: float = 2.0, hi_db: float = 7.0,
                    resolution_db: float = 0.05, samples: int = 100_000,
@@ -213,9 +206,8 @@ def find_threshold(inner: str, rate: Fraction | float, es: float,
 
     def gap_at(ebn0):
         if ebn0 not in gaps:
-            s2 = ebn0_to_sigma2(ebn0, float(rate), es)
-            c = inner_curve(inner, s2, samples=samples, seed=seed,
-                            ebn0_db=ebn0)
+            c = inner_curve(chain.inner, chain.sigma2(ebn0),
+                            samples=samples, seed=seed, ebn0_db=ebn0)
             gaps[ebn0] = _tunnel_gap(c, outer_curve_measured, 0.01)
         return gaps[ebn0]
 
@@ -245,8 +237,7 @@ def record_trajectory(cfg: pipeline.ChainConfig, ebn0_db: float,
     Even half-iterations are the inner decoder (x = its prior MI, y = its
     extrinsic MI); odd ones are the outer decoder on swapped axes.
     """
-    sigma2 = ebn0_to_sigma2(ebn0_db, float(cfg.ideal_rate),
-                            cfg.mean_symbol_energy)
+    sigma2 = cfg.sigma2(ebn0_db)
     rng = np.random.default_rng([seed, 11])
     u = rng.integers(0, 2, size=(blocks, cfg.k_user)).astype(np.uint8)
     y = pipeline.transmit(u, cfg, sigma2, rng)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exitchart, pipeline
-from .channel import awgn, block_rng, ebn0_to_sigma2, ook_modulate
+from .channel import awgn, block_rng, ook_modulate
 
 BER_COLUMNS = ["ebn0_db", "sigma2", "blocks_run", "bit_errors", "ber",
                "ber_ci_lo", "ber_ci_hi", "frame_errors", "fer",
@@ -168,6 +168,9 @@ def load_config(path: str | Path, preset: str | None = None,
         _coerce(dict(DEFAULTS, **pairs))        # the file is valid alone
         base.update(pairs)
     if overrides:
+        unknown = sorted(set(overrides) - set(DEFAULTS))
+        if unknown:
+            raise ConfigError(f"unknown override key(s) {unknown}")
         base.update({k: v for k, v in overrides.items() if v is not None})
     return _coerce({k: base[k] for k in DEFAULTS})
 
@@ -258,8 +261,7 @@ def simulate_point(cfg_chain: pipeline.ChainConfig, ebn0_db: float,
                    target_errors: int, batch: int,
                    digest: str = "") -> BerRecord:
     """Simulate blocks at one Eb/N0 point until enough errors or blocks."""
-    sigma2 = ebn0_to_sigma2(ebn0_db, float(cfg_chain.ideal_rate),
-                            cfg_chain.mean_symbol_energy)
+    sigma2 = cfg_chain.sigma2(ebn0_db)
     t0 = time.perf_counter()
     k = cfg_chain.k_user
     bit_errors = frame_errors = blocks = 0
@@ -321,20 +323,18 @@ def run_ber_sweep(cfg: dict, out_dir: str | Path | None = None
 
 def run_exit(cfg: dict, out_dir: str | Path | None = None) -> list:
     """Inner curves for all four line codes plus both outer CC curves."""
-    from .codes import RATE_23_PUNCTURE, build_outer_cc
+    from .codes import NO_PUNCTURE, RATE_23_PUNCTURE, build_outer_cc
     ebn0 = cfg["exit_ebn0_db"]
     samples = cfg["exit_samples"]
     curves = []
     for name in pipeline.INNER_CODES:
-        chain = pipeline.make_chain(f"cc-{name}", 64)
-        s2 = ebn0_to_sigma2(ebn0, float(chain.ideal_rate),
-                            chain.mean_symbol_energy)
+        s2 = pipeline.make_chain(f"cc-{name}", 64).sigma2(ebn0)
         curves.append(exitchart.inner_curve(name, s2, samples=samples,
                                             seed=cfg["seed"], ebn0_db=ebn0))
     outer = build_outer_cc()
     curves.append(exitchart.outer_curve(outer, RATE_23_PUNCTURE,
                                         samples=samples, seed=cfg["seed"]))
-    rate12 = exitchart.outer_curve(outer, None, samples=samples,
+    rate12 = exitchart.outer_curve(outer, NO_PUNCTURE, samples=samples,
                                    seed=cfg["seed"])
     curves.append(replace(rate12, component="outer:cc-rate-1/2"))
 
@@ -375,8 +375,8 @@ def run_threshold(cfg: dict, schemes=("cc-split-phase", "cc-bmc", "cc-4b6b"),
                 seed=cfg["seed"])
         outer = outer_curves[key]
         res = exitchart.find_threshold(
-            chain.inner, chain.ideal_rate, chain.mean_symbol_energy, outer,
-            lo_db=cfg["threshold_lo_db"], hi_db=cfg["threshold_hi_db"],
+            chain, outer, lo_db=cfg["threshold_lo_db"],
+            hi_db=cfg["threshold_hi_db"],
             resolution_db=cfg["threshold_resolution_db"],
             samples=cfg["exit_samples"], seed=cfg["seed"])
         results[scheme] = res

@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from . import codes, dimming, siso
-from .channel import awgn, ook_modulate
-from .codes import (FramingError, PuncturePattern, RATE_23_PUNCTURE,
-                    TrellisSpec)
+from .channel import awgn, ebn0_to_sigma2, ook_modulate
+from .codes import (FramingError, NO_PUNCTURE, PuncturePattern,
+                    RATE_23_PUNCTURE, TrellisSpec)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class ChainConfig:
     scheme: str
     inner: str                     # a key of INNER_CODES
     outer: TrellisSpec
-    puncture: PuncturePattern | None
+    puncture: PuncturePattern
     k_user: int
     k_pad: int
     iterations: int
@@ -122,8 +122,6 @@ class ChainConfig:
     @property
     def n(self) -> int:
         """Interleaver length = punctured outer code length."""
-        if self.puncture is None:
-            return self.n_coded
         return int(self.puncture.mask(self.n_coded).sum())
 
     @property
@@ -133,8 +131,6 @@ class ChainConfig:
 
     @property
     def outer_rate(self) -> Fraction:
-        if self.puncture is None:
-            return Fraction(1, self.outer.outputs_per_step)
         return Fraction(self.puncture.period,
                         self.puncture.kept_per_period)
 
@@ -152,6 +148,11 @@ class ChainConfig:
         """Mean energy per {0,1} channel use at the configured dimming."""
         return self.d
 
+    def sigma2(self, ebn0_db: float) -> float:
+        """Channel noise variance at ebn0_db for this chain."""
+        return ebn0_to_sigma2(ebn0_db, float(self.ideal_rate),
+                              self.mean_symbol_energy)
+
     def rates(self) -> dict:
         return {"outer": str(self.outer_rate),
                 "inner": str(self.code.rate),
@@ -161,8 +162,14 @@ class ChainConfig:
                 "effective": self.effective_rate}
 
 
-SCHEMES = ("cc-4b6b", "cc-manchester", "cc-bmc", "cc-split-phase",
-           "cc-split-phase-dim60")
+# scheme -> (inner code, outer puncture pattern, default dimming target d)
+SCHEMES = {
+    "cc-4b6b": ("4b6b", NO_PUNCTURE, 0.5),
+    "cc-manchester": ("manchester", RATE_23_PUNCTURE, 0.5),
+    "cc-bmc": ("bmc", RATE_23_PUNCTURE, 0.5),
+    "cc-split-phase": ("split-phase", RATE_23_PUNCTURE, 0.5),
+    "cc-split-phase-dim60": ("split-phase", NO_PUNCTURE, 0.6),
+}
 
 
 def make_chain(scheme: str, k: int, iterations: int = 30,
@@ -177,27 +184,21 @@ def make_chain(scheme: str, k: int, iterations: int = 30,
     error counting.
     """
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+        raise ValueError(f"unknown scheme {scheme!r}; choose from "
+                         f"{', '.join(SCHEMES)}")
     if k < 1 or iterations < 1:
         raise ValueError(f"k and iterations must be >= 1, got {k} and "
                          f"{iterations}")
-    if scheme == "cc-split-phase-dim60":
-        inner, punct = "split-phase", None
-        d = 0.6 if d is None else d
-    elif scheme == "cc-4b6b":
-        inner, punct = "4b6b", None
-    else:
-        inner, punct = scheme.removeprefix("cc-"), RATE_23_PUNCTURE
-    d = 0.5 if d is None else d
+    inner, punct, d_default = SCHEMES[scheme]
+    d = d_default if d is None else d
 
     outer = codes.build_outer_cc()
     code = INNER_CODES[inner]
     k_pad = k
     while True:
         steps = k_pad + outer.memory
-        if punct is None or steps % punct.period == 0:
-            coded = steps * outer.outputs_per_step
-            n = coded if punct is None else int(punct.mask(coded).sum())
+        if steps % punct.period == 0:
+            n = int(punct.mask(steps * outer.outputs_per_step).sum())
             if n % code.quantum == 0 and (n / code.rate) % 2 == 0:
                 break
         k_pad += 1
@@ -212,12 +213,10 @@ def make_chain(scheme: str, k: int, iterations: int = 30,
 # ---------------------------------------------------------------------------
 
 def _pad(u: np.ndarray, cfg: ChainConfig) -> np.ndarray:
-    u = np.atleast_2d(np.asarray(u, dtype=np.uint8))
+    u = np.atleast_2d(np.asarray(u))        # the outer encoder checks bits
     if u.shape[-1] != cfg.k_user:
         raise FramingError(f"message length {u.shape[-1]}, expected "
                            f"{cfg.k_user}")
-    if cfg.k_pad == cfg.k_user:
-        return u
     pad = np.zeros((u.shape[0], cfg.k_pad - cfg.k_user), dtype=np.uint8)
     return np.concatenate([u, pad], axis=-1)
 
@@ -226,8 +225,7 @@ def encode_chain(u: np.ndarray, cfg: ChainConfig) -> dict:
     """All intermediate bit streams of the transmitter, batched."""
     up = _pad(u, cfg)
     coded = codes.encode(cfg.outer, up)
-    kept = coded if cfg.puncture is None else codes.apply_puncture(
-        coded, cfg.puncture)
+    kept = codes.apply_puncture(coded, cfg.puncture)
     v = cfg.interleaver.apply(kept)
     line = cfg.code.encode(v)
     tx = dimming.dim_encode(line, cfg.dim)
@@ -261,7 +259,7 @@ class IterationTrace:
     ber: np.ndarray                   # (executed, B) message BER per iteration
 
 
-def outer_extrinsic(outer: TrellisSpec, puncture: PuncturePattern | None,
+def outer_extrinsic(outer: TrellisSpec, puncture: PuncturePattern,
                     prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outer SISO on the transmitted code bits.
 
@@ -270,15 +268,12 @@ def outer_extrinsic(outer: TrellisSpec, puncture: PuncturePattern | None,
     bits' extrinsic LLRs (B, n) and the input bits' APP LLRs (B, n_steps).
     """
     B, n = prior.shape
-    if puncture is not None:
-        full = n // puncture.kept_per_period * puncture.keep.size
-        prior = codes.insert_erasures(prior, puncture, full)
+    full = n // puncture.kept_per_period * puncture.keep.size
+    prior = codes.insert_erasures(prior, puncture, full)
     code_prior = prior.reshape(B, -1, outer.outputs_per_step)
     res = siso.bcjr_decode(outer, siso.gamma_table_llr(outer, code_prior))
     ext = (res.app_output - siso.clamp_llr(code_prior)).reshape(B, -1)
-    if puncture is not None:
-        ext = codes.apply_puncture(ext, puncture)
-    return ext, res.app_input
+    return codes.apply_puncture(ext, puncture), res.app_input
 
 
 def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
@@ -303,6 +298,9 @@ def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
     genie = cfg.genie_stopping and true_u is not None
     if true_u is not None:
         true_u = np.atleast_2d(np.asarray(true_u, dtype=np.uint8))
+        if true_u.shape != (B, cfg.k_user):
+            raise FramingError(f"true_u shape {true_u.shape}, expected "
+                               f"{(B, cfg.k_user)}")
         if collect_trace:
             streams = encode_chain(true_u, cfg)
             v_true, kept_true = streams["v"], streams["kept"]

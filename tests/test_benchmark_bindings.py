@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import vlclink
-from vlclink import codes, pipeline, siso
+from vlclink import codes, harness, pipeline, siso
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,6 +46,9 @@ def test_traced_names_resolve():
     (siso.map_lut, ("spec", "y", "prior", "sigma2")),
     (siso.bcjr_forward_backward, ("gamma",)),
     (pipeline.receive, ("true_u",)),
+    (pipeline.make_chain, ("iterations", "genie_stopping")),
+    (harness.simulate_point, ("max_blocks", "target_errors", "batch")),
+    (harness.load_config, ("overrides",)),
 ])
 def test_bound_parameters(fn, params):
     assert set(params) <= set(inspect.signature(fn).parameters)
@@ -71,6 +74,19 @@ def test_result_fields():
     assert ws.gamma is gamma
     chain = pipeline.make_chain("cc-split-phase-dim60", 64)
     assert chain.mean_symbol_energy == 0.6
+
+
+def test_config_keys_and_chain_fields():
+    # the exit-threshold workload's config overrides
+    cfg = harness.load_config(None, overrides={"exit_samples": 5000,
+                                               "seed": 3})
+    assert (cfg["exit_samples"], cfg["seed"]) == (5000, 3)
+    # the chain fields the BER and threshold checks read
+    chain = pipeline.make_chain("cc-split-phase", 64, iterations=7,
+                                genie_stopping=True)
+    assert (chain.k_user, chain.d, chain.iterations) == (64, 0.5, 7)
+    assert float(chain.ideal_rate) == pytest.approx(1 / 3)
+    assert chain.mean_symbol_energy == 0.5
 
 
 def test_outer_decode_gets_the_table_it_was_given(monkeypatch):

@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from vlclink import codes
-from vlclink.codes import (FramingError, PuncturePattern, RATE_23_PUNCTURE,
-                           apply_puncture, insert_erasures)
+from vlclink.codes import (FramingError, NO_PUNCTURE, PuncturePattern,
+                           RATE_23_PUNCTURE, apply_puncture, insert_erasures)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +207,31 @@ def test_encoders_deterministic():
         assert (codes.encode(tr, v) == codes.encode(tr, v)).all()
 
 
+@pytest.mark.parametrize("bits", [[-1, 0], [0, 2], [0.5, 0], [1, np.nan]])
+def test_trellis_encoder_rejects_non_bits(bits):
+    for tr in (codes.build_split_phase(), codes.build_bmc(),
+               codes.build_outer_cc()):
+        with pytest.raises(ValueError, match="bits 0 and 1"):
+            codes.encode(tr, bits)
+
+
+@pytest.mark.parametrize("bits", [[0, 0, 1, 2], [0, 0, 0, -1],
+                                  [0, 0, 0, 0.5], [1, 0, 1, np.inf]])
+def test_lut_encoder_rejects_non_bits(bits):
+    for spec in (codes.build_4b6b(), codes.build_manchester()):
+        with pytest.raises(ValueError, match="bits 0 and 1"):
+            codes.encode_lut(spec, bits)
+
+
+def test_encoders_accept_bits_of_any_dtype():
+    v = np.array([1, 0, 0, 1, 1, 1, 0, 0])
+    for x in (v.astype(bool), v.astype(np.uint8), v.astype(np.float64)):
+        assert (codes.encode(codes.build_split_phase(), x)
+                == codes.encode(codes.build_split_phase(), v)).all()
+        assert (codes.encode_lut(codes.build_4b6b(), x)
+                == codes.encode_lut(codes.build_4b6b(), v)).all()
+
+
 class TestPuncture:
 
     def test_matrix_semantics(self):
@@ -214,9 +240,15 @@ class TestPuncture:
         assert apply_puncture(c, RATE_23_PUNCTURE).tolist() == [10, 20, 30]
 
     def test_all_ones_identity(self):
-        pat = PuncturePattern(keep=np.ones((2, 2), dtype=bool))
         c = np.arange(8)
-        assert (apply_puncture(c, pat) == c).all()
+        x = np.random.default_rng(11).normal(size=8)
+        for pat in (PuncturePattern(keep=np.ones((2, 2), dtype=bool)),
+                    NO_PUNCTURE):
+            assert (apply_puncture(c, pat) == c).all()
+            assert (insert_erasures(x, pat, 8) == x).all()
+            # the mother code's rate 1/2 is kept
+            assert Fraction(pat.period, pat.kept_per_period) \
+                == Fraction(1, 2)
 
     def test_insert_erasures_inverse(self):
         rng = np.random.default_rng(10)

@@ -97,10 +97,8 @@ class TestThreshold:
         chain = make_chain("cc-split-phase", 64)
         outer = ex.outer_curve(chain.outer, chain.puncture, samples=50000,
                                seed=8)
-        res = ex.find_threshold(chain.inner, chain.ideal_rate,
-                                chain.mean_symbol_energy, outer,
-                                lo_db=3.0, hi_db=6.5, resolution_db=0.1,
-                                samples=50000, seed=8)
+        res = ex.find_threshold(chain, outer, lo_db=3.0, hi_db=6.5,
+                                resolution_db=0.1, samples=50000, seed=8)
         assert res.found
         assert res.tunnel_min_gap > 0
         # closed one resolution step below
@@ -114,10 +112,8 @@ class TestThreshold:
         chain = make_chain("cc-split-phase", 64)
         outer = ex.outer_curve(chain.outer, chain.puncture, samples=20000,
                                seed=9)
-        res = ex.find_threshold(chain.inner, chain.ideal_rate,
-                                chain.mean_symbol_energy, outer,
-                                lo_db=-2.0, hi_db=0.0, resolution_db=0.25,
-                                samples=20000, seed=9)
+        res = ex.find_threshold(chain, outer, lo_db=-2.0, hi_db=0.0,
+                                resolution_db=0.25, samples=20000, seed=9)
         assert not res.found
         assert res.ebn0_db_star is None
 
@@ -134,10 +130,8 @@ class TestThreshold:
         monkeypatch.setattr(ex, "inner_curve", counted)
         for lo, hi in ((3.0, 6.5), (-2.0, 0.0), (6.0, 7.0)):
             measured.clear()
-            ex.find_threshold(chain.inner, chain.ideal_rate,
-                              chain.mean_symbol_energy, outer, lo_db=lo,
-                              hi_db=hi, resolution_db=0.25, samples=2000,
-                              seed=10)
+            ex.find_threshold(chain, outer, lo_db=lo, hi_db=hi,
+                              resolution_db=0.25, samples=2000, seed=10)
             assert len(measured) == len(set(measured))
 
 

@@ -62,6 +62,21 @@ class TestConfigParsing:
         assert cfg == want
         assert harness.config_digest(cfg) == harness.config_digest(want)
 
+    @pytest.mark.parametrize("overrides", [
+        {"exit_sample": 10}, {"sede": 3}, {"exit_sample": 10, "sede": 3},
+        {"seed": 3, "sede": None}])
+    def test_unknown_override_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="unknown override") as err:
+            harness.load_config(None, overrides=overrides)
+        for key in set(overrides) - set(harness.DEFAULTS):
+            assert repr(key) in str(err.value)
+
+    def test_none_override_skipped(self):
+        # the CLI passes every flag, unset ones as None
+        cfg = harness.load_config(None, overrides={"seed": None,
+                                                   "workers": None})
+        assert cfg == harness.load_config(None)
+
     def test_genie_boolean_forms(self):
         for text, want in [("genie = off", False), ("genie = 1", True),
                            ("genie = FALSE", False), ("genie = Yes", True),

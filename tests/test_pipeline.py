@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from vlclink import exitchart, pipeline, siso
+from vlclink import codes, exitchart, pipeline, siso
 from vlclink.channel import ebn0_to_sigma2
 from vlclink.pipeline import (SCHEMES, make_chain, make_interleaver, receive,
                               transmit)
@@ -65,6 +65,21 @@ class TestChainConfig:
             assert cfg.n == round(cfg.n_steps / float(cfg.outer_rate))
             assert cfg.n_line == round(cfg.n_steps / float(cfg.ideal_rate))
             assert cfg.dim.frame_len == cfg.n_line  # dimming keeps length
+
+    def test_scheme_rows(self):
+        """make_chain builds each SCHEMES row, and the chain's sigma2 uses
+        the rate and symbol energy written out here."""
+        rate_es = {"cc-split-phase-dim60": (1 / 4, 0.6)}
+        unpunctured = {"cc-4b6b", "cc-split-phase-dim60"}
+        for scheme, (inner, punct, d) in SCHEMES.items():
+            cfg = make_chain(scheme, k=64)
+            assert (cfg.inner, cfg.puncture, cfg.d) == (inner, punct, d)
+            assert cfg.puncture is (codes.NO_PUNCTURE if scheme in unpunctured
+                                    else codes.RATE_23_PUNCTURE)
+            rate, es = rate_es.get(scheme, (1 / 3, 0.5))
+            assert cfg.d == es
+            for e in (0.0, 4.6, 7.5):
+                assert cfg.sigma2(e) == ebn0_to_sigma2(e, rate, es)
 
     def test_d60_frame_budget(self):
         cfg = make_chain("cc-split-phase-dim60", k=512)
@@ -186,6 +201,14 @@ class TestTransmitReceive:
         with pytest.raises(FramingError):
             transmit(np.zeros((1, 95), dtype=np.uint8), cfg, 1.0,
                      np.random.default_rng(0))
+        u = np.zeros((3, 96), dtype=np.uint8)
+        for bad in (0.5, 256):          # once cast to 0 without an error
+            with pytest.raises(ValueError, match="bits 0 and 1"):
+                pipeline.encode_chain(np.where(np.eye(3, 96), bad, 0), cfg)
+        y = transmit(u, cfg, 1.0, np.random.default_rng(0))
+        for shape in ((6, 96), (1, 96), (3, 95), (3, 97)):
+            with pytest.raises(FramingError, match=rf"{shape}.*\(3, 96\)"):
+                receive(y, cfg, 1.0, true_u=np.zeros(shape, dtype=np.uint8))
 
     def test_d60_high_snr_roundtrip(self):
         cfg = make_chain("cc-split-phase-dim60", k=512, iterations=8)
