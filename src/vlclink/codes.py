@@ -99,11 +99,12 @@ class TrellisSpec:
         return in_state, in_input
 
 
-def _as_bits(x) -> np.ndarray:
-    """x as an int64 array; ValueError unless every entry is 0 or 1."""
+def as_bits(x, what: str = "encoder input") -> np.ndarray:
+    """x as an int64 array; ValueError naming `what` unless every entry
+    is 0 or 1."""
     x = np.asarray(x)
     if not ((x == 0) | (x == 1)).all():
-        raise ValueError("encoder input must hold only bits 0 and 1")
+        raise ValueError(f"{what} must hold only bits 0 and 1")
     return x.astype(np.int64)
 
 
@@ -114,7 +115,7 @@ def encode(spec: TrellisSpec, bits: np.ndarray) -> np.ndarray:
     termination appends `memory` extra steps (per-block tail inputs).
     Returns (..., n_steps_total * outputs_per_step) bit array.
     """
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     single = bits.ndim == 1
     bits = np.atleast_2d(bits)
     B, n_steps = bits.shape
@@ -263,7 +264,7 @@ def build_4b6b() -> LutCodeSpec:
 
 def encode_lut(spec: LutCodeSpec, v: np.ndarray) -> np.ndarray:
     """Replace each input_width-bit symbol by its table entry (MSB first)."""
-    v = _as_bits(v)
+    v = as_bits(v)
     n = v.shape[-1]
     if n % spec.input_width:
         raise FramingError(f"input length {n} not divisible by "

@@ -113,18 +113,22 @@ def inner_curve(inner: str, sigma2: float, grid=None, samples: int = 100_000,
                 seed: int = 0, ebn0_db: float | None = None) -> ExitCurve:
     """Measured transfer curve of one inner line-code SISO decoder.
 
-    `samples` counts decoder input bits per grid point; channel noise is
-    drawn fresh per point from the seeded generator.
+    `samples` counts decoder input bits per grid point.  Each point has
+    its own generator, seeded by (seed, point index), which draws its
+    messages, channel noise and priors; one encoder call serves the grid.
     """
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, np.float64)
     code = pipeline.INNER_CODES[inner]
     n0 = _INNER_BLOCK
     nblocks = max(1, int(np.ceil(samples / n0)))
+    rngs = [np.random.default_rng([seed, gi]) for gi in range(len(grid))]
+    vs = np.stack([rng.integers(0, 2, size=(nblocks, n0)).astype(np.uint8)
+                   for rng in rngs])
+    # one encoder call for the whole grid; the encoder draws no numbers,
+    # so each point's generator goes on to its noise and priors unchanged
+    lines = code.encode(vs.reshape(-1, n0)).reshape(len(grid), nblocks, -1)
     values = []
-    for gi, ia in enumerate(grid):
-        rng = np.random.default_rng([seed, gi])
-        v = rng.integers(0, 2, size=(nblocks, n0)).astype(np.uint8)
-        line = code.encode(v)
+    for rng, ia, v, line in zip(rngs, grid, vs, lines):
         y = awgn(ook_modulate(line), sigma2, rng)
         prior = sample_priors(v, j_inverse(float(ia)), rng)
         ext = code.extrinsic(y, prior, sigma2)
@@ -151,11 +155,14 @@ def outer_curve(outer: codes.TrellisSpec, puncture: codes.PuncturePattern,
     k0 = steps - outer.memory
     n_kept = int(puncture.mask(steps * outer.outputs_per_step).sum())
     nblocks = max(1, int(np.ceil(samples / n_kept)))
+    rngs = [np.random.default_rng([seed, 7, gi]) for gi in range(len(grid))]
+    u = np.concatenate([rng.integers(0, 2, size=(nblocks, k0)).astype(
+        np.uint8) for rng in rngs])
+    # one encoder call for the whole grid, as in inner_curve
+    kept_grid = codes.apply_puncture(codes.encode(outer, u), puncture)
+    kept_grid = kept_grid.reshape(len(grid), nblocks, n_kept)
     values = []
-    for gi, ia in enumerate(grid):
-        rng = np.random.default_rng([seed, 7, gi])
-        u = rng.integers(0, 2, size=(nblocks, k0)).astype(np.uint8)
-        kept = codes.apply_puncture(codes.encode(outer, u), puncture)
+    for rng, ia, kept in zip(rngs, grid, kept_grid):
         prior_kept = sample_priors(kept, j_inverse(float(ia)), rng)
         ext_kept, _ = pipeline.outer_extrinsic(outer, puncture, prior_kept)
         values.append(measure_mi(ext_kept, kept))

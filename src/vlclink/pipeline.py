@@ -297,7 +297,9 @@ def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
         raise ValueError("collect_trace needs the true message true_u")
     genie = cfg.genie_stopping and true_u is not None
     if true_u is not None:
-        true_u = np.atleast_2d(np.asarray(true_u, dtype=np.uint8))
+        # checked before the uint8 cast, which would wrap 256 to 0
+        true_u = np.atleast_2d(codes.as_bits(true_u, "true_u")
+                               .astype(np.uint8))
         if true_u.shape != (B, cfg.k_user):
             raise FramingError(f"true_u shape {true_u.shape}, expected "
                                f"{(B, cfg.k_user)}")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from vlclink import exitchart as ex
-from vlclink.channel import ebn0_to_sigma2
-from vlclink.codes import RATE_23_PUNCTURE, build_outer_cc
-from vlclink.pipeline import make_chain
+from vlclink import codes, exitchart as ex
+from vlclink.channel import awgn, ebn0_to_sigma2, ook_modulate
+from vlclink.codes import NO_PUNCTURE, RATE_23_PUNCTURE, build_outer_cc
+from vlclink.pipeline import INNER_CODES, make_chain, outer_extrinsic
 
 
 class TestJFunction:
@@ -89,6 +89,82 @@ class TestCurves:
                            samples=60000, seed=7)
         area = np.trapezoid(c.values, c.grid)
         assert abs(area - (1 - 2 / 3)) < 0.03
+
+
+def _inner_curve_per_point(inner, sigma2, grid, samples, seed):
+    """Reference inner curve: each grid point encodes its own messages."""
+    code = INNER_CODES[inner]
+    nblocks = max(1, int(np.ceil(samples / ex._INNER_BLOCK)))
+    values = []
+    for gi, ia in enumerate(grid):
+        rng = np.random.default_rng([seed, gi])
+        v = rng.integers(0, 2, size=(nblocks, ex._INNER_BLOCK)).astype(
+            np.uint8)
+        y = awgn(ook_modulate(code.encode(v)), sigma2, rng)
+        prior = ex.sample_priors(v, ex.j_inverse(float(ia)), rng)
+        values.append(ex.measure_mi(code.extrinsic(y, prior, sigma2), v))
+    return np.array(values)
+
+
+def _outer_curve_per_point(outer, puncture, grid, samples, seed):
+    """Reference outer curve: each grid point encodes its own messages."""
+    steps = ex._OUTER_BLOCK + outer.memory
+    steps += -steps % puncture.period
+    k0 = steps - outer.memory
+    n_kept = int(puncture.mask(steps * outer.outputs_per_step).sum())
+    nblocks = max(1, int(np.ceil(samples / n_kept)))
+    values = []
+    for gi, ia in enumerate(grid):
+        rng = np.random.default_rng([seed, 7, gi])
+        u = rng.integers(0, 2, size=(nblocks, k0)).astype(np.uint8)
+        kept = codes.apply_puncture(codes.encode(outer, u), puncture)
+        prior_kept = ex.sample_priors(kept, ex.j_inverse(float(ia)), rng)
+        ext_kept, _ = outer_extrinsic(outer, puncture, prior_kept)
+        values.append(ex.measure_mi(ext_kept, kept))
+    return np.array(values)
+
+
+class TestOneEncoderCall:
+    """A curve encodes its whole grid at once; every generator still draws
+    the same numbers, so the curve equals the per-point reference."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("inner", sorted(INNER_CODES))
+    def test_inner_same_numbers(self, inner, seed):
+        c = ex.inner_curve(inner, 0.3, samples=600, seed=seed)
+        np.testing.assert_array_equal(
+            c.values,
+            _inner_curve_per_point(inner, 0.3, ex.DEFAULT_GRID, 600, seed))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("puncture", [RATE_23_PUNCTURE, NO_PUNCTURE],
+                             ids=["rate-2/3", "unpunctured"])
+    def test_outer_same_numbers(self, puncture, seed):
+        outer = build_outer_cc()
+        c = ex.outer_curve(outer, puncture, samples=600, seed=seed)
+        np.testing.assert_array_equal(
+            c.values,
+            _outer_curve_per_point(outer, puncture, ex.DEFAULT_GRID, 600,
+                                   seed))
+
+    @pytest.mark.parametrize("grid", [[0.5], [0.0, 0.999], None],
+                             ids=["1-point", "2-point", "default"])
+    def test_one_call_whatever_the_grid(self, monkeypatch, grid):
+        calls = []
+        for name in ("encode", "encode_lut"):
+            def spy(*args, _fn=getattr(codes, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(codes, name, spy)
+        for inner in INNER_CODES:
+            calls.clear()
+            ex.inner_curve(inner, 0.3, grid=grid, samples=300)
+            assert len(calls) == 1, inner
+        for puncture in (RATE_23_PUNCTURE, NO_PUNCTURE):
+            calls.clear()
+            ex.outer_curve(build_outer_cc(), puncture, grid=grid,
+                           samples=300)
+            assert len(calls) == 1
 
 
 class TestThreshold:

@@ -210,6 +210,30 @@ class TestTransmitReceive:
             with pytest.raises(FramingError, match=rf"{shape}.*\(3, 96\)"):
                 receive(y, cfg, 1.0, true_u=np.zeros(shape, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [256, 2, -1, 0.5])
+    def test_non_bit_true_u_rejected(self, bad):
+        # an all-zero block read back against true_u = 256 once gave BER 0
+        cfg = make_chain("cc-split-phase", k=96, iterations=4)
+        y = transmit(np.zeros((1, 96), dtype=np.uint8), cfg, 0.05,
+                     np.random.default_rng(0))
+        true_u = np.zeros((1, 96), dtype=np.asarray(bad).dtype)
+        true_u[0, :10] = bad
+        with pytest.raises(ValueError, match="true_u must hold only bits"):
+            receive(y, cfg, 0.05, true_u=true_u, collect_trace=True)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64])
+    def test_true_u_bits_of_any_dtype(self, dtype):
+        cfg = make_chain("cc-split-phase", k=96, iterations=4)
+        rng = np.random.default_rng(31)
+        u = rng.integers(0, 2, (2, 96)).astype(np.uint8)
+        y = transmit(u, cfg, 0.3, rng)
+        a, ta = receive(y, cfg, 0.3, true_u=u, collect_trace=True)
+        b, tb = receive(y, cfg, 0.3, true_u=u.astype(dtype),
+                        collect_trace=True)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(ta.ber, tb.ber)
+        np.testing.assert_array_equal(ta.iterations, tb.iterations)
+
     def test_d60_high_snr_roundtrip(self):
         cfg = make_chain("cc-split-phase-dim60", k=512, iterations=8)
         rng = np.random.default_rng(27)
