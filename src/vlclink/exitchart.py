@@ -60,6 +60,18 @@ def j_inverse(i: float) -> float:
     return float(_j_inverse_table()(i))
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), through numpy's
+    vectorised exp and log1p; np.logaddexp(0, x) calls the scalar libm
+    functions and is several times slower."""
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
+
+
 def measure_mi(llrs: np.ndarray, truth: np.ndarray) -> float:
     """Time-average mutual-information estimate of an LLR sequence."""
     llrs = np.asarray(llrs, dtype=np.float64).ravel()
@@ -69,7 +81,7 @@ def measure_mi(llrs: np.ndarray, truth: np.ndarray) -> float:
     if llrs.size == 0:
         return 0.0
     signed = (2.0 * truth - 1.0) * llrs
-    val = 1.0 - float(np.mean(np.logaddexp(0.0, -signed))) / LN2
+    val = 1.0 - float(np.mean(_softplus(-signed))) / LN2
     return min(max(val, 0.0), 1.0)
 
 

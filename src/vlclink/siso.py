@@ -1,16 +1,35 @@
 """Soft-in/soft-out decoders.
 
-Exact log-MAP BCJR over any TrellisSpec, with either the on-off-keying
-channel transition metric (inner line-code decoders) or a pure a-priori
-LLR metric (outer FEC decoder, which has no channel port).  Memoryless
-block codes (Manchester, 4B6B) get direct per-symbol MAP marginalization.
-Both inner decoders score OOK observations with one metric, _ook_metric.
+Exact MAP BCJR over any TrellisSpec, with either the on-off-keying channel
+transition metric (inner line-code decoders) or a pure a-priori LLR metric
+(outer FEC decoder, which has no channel port).  Memoryless block codes
+(Manchester, 4B6B) get direct per-symbol MAP marginalization.  Both inner
+decoders score OOK observations with one metric, _ook_metric.
 
 All decoders are batched: leading axis = independent blocks.  LLR sign
 convention is L = ln P(bit=1)/P(bit=0).  Priors are clamped to +-LLR_CLAMP
 before exponentiation; the BCJR's extrinsic outputs subtract the clamped
 prior, and map_lut leaves each bit's own prior out, so the exclusion is
 exact.
+
+The BCJR runs in the probability domain: each section's log metrics are
+shifted by their maximum and exponentiated once, the forward and backward
+recursions only multiply and add, and every step divides its state vector
+by its largest entry.  Numerical contract:
+
+1. Exact: as long as no state weight underflows (falls below ~1e-308 of
+   the largest in its vector), the LLRs equal those of the log-domain
+   recursion to rounding.  That holds for the outer decoder always (its
+   metrics span at most 200 per section, the priors being clamped) and for
+   the inner decoders at every sigma^2 a preset or the threshold search
+   uses (at 7 dB the smallest state weight is about 1e-29).
+2. Saturated: an LLR one side of which underflowed to 0 (a bit the trellis
+   forces, or one whose alternative is that improbable) is +-LLR_SAT,
+   finite and of the right sign, never +-inf.
+3. Collapse: if a whole state vector underflows (every state of alpha, of
+   beta or of their product across a section), the decoder raises a
+   ValueError naming the trellis and the metric (with sigma^2 for an inner
+   code); it never returns NaN and never emits a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -24,6 +43,10 @@ from .channel import check_sigma2
 from .codes import LutCodeSpec, TrellisSpec
 
 LLR_CLAMP = 50.0
+# Magnitude of a BCJR LLR one side of which underflowed: that side is 0, or
+# so small against the other that their ratio overflows (|L| > 709.7).
+# Every LLR the ratio expresses stays below it.
+LLR_SAT = 750.0
 _NEG = -np.inf
 
 
@@ -94,28 +117,31 @@ def gamma_table_llr(trellis: TrellisSpec,
 
 @dataclass
 class DecoderWorkspace:
-    """Forward/backward/transition metrics of one decode pass (log domain).
+    """State and transition weights of one decode pass (probability domain).
 
-    alpha/beta are per-section max-normalized; the subtracted offsets are
-    accumulated in alpha_norm/beta_norm so that e.g. the true forward
-    metric is alpha + alpha_norm[..., None].
+    weights[:, l] = exp(gamma[:, l] - max gamma[:, l]): the transition
+    weights of section l, largest 1.  alpha[:, l] and beta[:, l] are the
+    forward and backward state weights at section boundary l, each divided
+    by its largest entry.  gamma is the log-domain table the pass was given.
     """
 
     alpha: np.ndarray           # (B, n+1, S)
     beta: np.ndarray            # (B, n+1, S)
     gamma: np.ndarray           # (B, n, S, A)
-    alpha_norm: np.ndarray      # (B, n+1)
-    beta_norm: np.ndarray       # (B, n+1)
+    weights: np.ndarray         # (B, n, S, A)
 
 
 # Cost model of one forward + backward pass, chunk by chunk: a fixed cost
 # per step of phases 1, 2 and 3 of _scan, plus a cost per element of that
-# step's work arrays.  Fitted by non-negative least squares to
-# _forward_backward timings of split-phase and the outer code (B = 1..770,
-# n = 130..8193, median misfit 19 %) on a 2-core 2.1 GHz Xeon VM, Python
-# 3.11, numpy 2.4.  The chunking it picks changes rounding only (1e-13).
-_STEP_S = (33.5e-6, 19.8e-6, 21.0e-6)
-_ELEMENT_S = (12.1e-9, 49.8e-9, 61.7e-9)
+# step's work arrays.  Fitted by non-negative least squares, on relative
+# error, to the fastest of 4-7 _forward_backward timings of split-phase and
+# the outer code at each of 844 shapes (B = 1..770, n = 130..8193, chunk
+# lengths 4..n), with a fixed cost per call as a further unknown: median
+# misfit 9 %, 90th percentile 28 %.  Measured on a 2-core 2.0 GHz Xeon VM,
+# Python 3.11, numpy 2.4.  The chunking it picks changes rounding only
+# (1e-13).
+_STEP_S = (32.6e-6, 28.0e-6, 21.4e-6)
+_ELEMENT_S = (7.2e-9, 10.2e-9, 30.6e-9)
 
 
 @lru_cache(maxsize=256)
@@ -137,7 +163,7 @@ def _chunk_length(n: int, B: int, S: int, A: int) -> int:
 
 def bcjr_forward_backward(trellis: TrellisSpec,
                           gamma: np.ndarray) -> DecoderWorkspace:
-    """Run the alpha/beta recursions with exact log-sum-exp merges, as a
+    """Run the alpha/beta recursions in the probability domain, as a
     chunked scan whose chunk length the cost model picks from the shape."""
     B, n, S, A = gamma.shape
     return _forward_backward(trellis, gamma, _chunk_length(n, B, S, A))
@@ -147,88 +173,228 @@ def _forward_backward(trellis: TrellisSpec, gamma: np.ndarray,
                       chunk: int) -> DecoderWorkspace:
     """bcjr_forward_backward with a given chunk length (see _scan)."""
     B, n, S, A = gamma.shape
-    in_state, in_input = trellis.incoming()
+    weights = _section_weights(gamma)
 
-    alpha = np.full((B, n + 1, S), _NEG)
-    alpha[:, 0, 0] = 0.0
-    alpha_norm = np.zeros((B, n + 1))
-    # gamma by (destination state, incoming edge), gathered once
-    _scan(gamma[:, :, in_state, in_input], alpha, alpha_norm, in_state,
-          chunk)
+    alpha = np.empty((B, n + 1, S))
+    alpha[:, 0] = 0.0
+    alpha[:, 0, 0] = 1.0
+    # weights by (destination state, incoming edge)
+    in_state, in_input = trellis.incoming()
+    _scan(weights, (in_state, in_input), alpha, in_state, chunk)
 
     # the backward pass is the same scan in reversed time
-    beta = np.zeros((B, n + 1, S))
-    beta_norm = np.zeros((B, n + 1))
+    beta = np.empty((B, n + 1, S))
+    beta[:, n] = 1.0
     if trellis.termination == "tail-to-zero":
-        beta[:, n, :] = _NEG
-        beta[:, n, 0] = 0.0
-    _scan(gamma[:, ::-1], beta[:, ::-1], beta_norm[:, ::-1],
+        beta[:, n, 1:] = 0.0
+    _scan(weights[:, ::-1], np.indices((S, A)), beta[:, ::-1],
           trellis.next_state, chunk)
 
     return DecoderWorkspace(alpha=alpha, beta=beta, gamma=gamma,
-                            alpha_norm=alpha_norm, beta_norm=beta_norm)
+                            weights=weights)
 
 
-def _scan(g, out, norm, src, chunk: int) -> None:
-    """Exact log-semiring recursion over the time-ordered sections of g.
+def _section_weights(gamma: np.ndarray) -> np.ndarray:
+    """exp(gamma - the maximum of its section), (B, n, S, A), stored
+    transition-major, (S, A, B, n), for the posteriors' sums."""
+    B, n, S, A = gamma.shape
+    top = gamma[..., 0, 0].copy()
+    for s, a in np.ndindex(S, A):
+        np.maximum(top, gamma[..., s, a], out=top)
+    weights = np.empty((S, A, B, n))
+    for s, a in np.ndindex(S, A):
+        np.subtract(gamma[..., s, a], top, out=weights[s, a])
+    np.exp(weights, out=weights)
+    return weights.transpose(2, 3, 0, 1)
 
-    Section l maps the metric out[:, l] to
-        out[:, l+1][s] = LSE_a(out[:, l][src[s, a]] + g[:, l][s, a]),
-    max-normalised with the offsets accumulated in norm.  out[:, 0] and
-    norm[:, 0] hold the start; the rest is written.
+
+# Divisor floor of every normalisation: a state vector (or a phase-1 row)
+# whose weights all underflowed to 0 is divided by it and stays 0, so no
+# step computes 0/0.
+_TINY = np.finfo(np.float64).tiny
+# the ufunc method itself: ndarray.max adds a Python wrapper to every step
+_max_over_states = np.maximum.reduce
+
+
+def _scan(w, edges, out, src, chunk: int) -> None:
+    """Sum-product recursion over the time-ordered sections of w.
+
+    Section l maps the state weights out[:, l] to
+        out[:, l+1][s] = sum_a out[:, l][src[s, a]] * g[:, l][s, a]
+    divided by its largest entry, where g[:, l][s, a] is
+    w[:, l][edges[0][s, a], edges[1][s, a]].  out[:, 0] holds the start;
+    the rest is written.
 
     The first K = n // chunk chunks are scanned in three phases: (1) each
     chunk's end-to-end transfer from every start state, vectorised over
     chunks; (2) the same recursion over the chunk boundaries, on the dense
     trellis whose edge from state a to state s weighs the transfer a -> s;
     (3) the ordinary recursion inside every chunk from its true start
-    metric, vectorised over chunks.  The n mod chunk remaining sections
+    weights, vectorised over chunks.  The n mod chunk remaining sections
     follow sequentially.  With chunk = n this is the plain per-section
-    recursion.  Work arrays are state-major, (S, ..., B, K), so that numpy's
-    inner loops run over blocks and chunks rather than over the few states.
+    recursion.  Work arrays are state-major, (S, ..., B, K), and each
+    section's slice of g is contiguous, so that numpy's inner loops run
+    over blocks and chunks rather than over the few states.
     """
-    B, n, S, A = g.shape
-    chunk = max(1, min(chunk, n))
+    B, n, S, A = w.shape
+    if not n:
+        return
+    chunk = min(chunk, n)
     K = n // chunk
     m = K * chunk
-    # time-major views: (chunk, S, A, B, K), (chunk, S, B, K), (chunk, B, K)
-    g_chunks = g[:, :m].reshape(B, K, chunk, S, A).transpose(2, 3, 4, 0, 1)
-    out_chunks = out[:, 1:m + 1].reshape(B, K, chunk, S, copy=False)
-    norm_chunks = norm[:, 1:m + 1].reshape(B, K, chunk, copy=False)
-    cur, cur_norm = out[:, 0].T[..., None], norm[:, :1]
+    cur = out[:, 0].T[..., None]
+    g = _time_major(w[:, :m].reshape(B, K, chunk, S, A), edges)
     if K > 1:
-        trans = _chunk_transfers(g_chunks[..., :-1], src)
-        starts, norms = np.empty((S, B, K)), np.empty((B, K))
-        starts[..., :1], norms[:, :1] = cur, cur_norm
-        _recurse(trans.transpose(3, 1, 0, 2)[..., None],
-                 starts.transpose(2, 0, 1)[1:, ..., None],
-                 norms.T[1:, :, None], cur, cur_norm, None)
-        cur, cur_norm = starts, norms
-    _recurse(g_chunks, out_chunks.transpose(2, 3, 0, 1),
-             norm_chunks.transpose(2, 0, 1), cur, cur_norm, src)
-    _recurse(g[:, m:].transpose(1, 2, 3, 0)[..., None],
+        trans = _chunk_transfers(g[..., :-1], src)
+        starts = np.empty((S, B, K))
+        starts[..., :1] = cur
+        _recurse(trans, starts.transpose(2, 0, 1)[1:, ..., None], cur,
+                 np.broadcast_to(np.arange(S), (S, S)))
+        cur = starts
+    _recurse(g, out[:, 1:m + 1].reshape(B, K, chunk, S, copy=False)
+             .transpose(2, 3, 0, 1), cur, src)
+    del g
+    _recurse(_time_major(w[:, None, m:], edges),
              out[:, m + 1:].transpose(1, 2, 0)[..., None],
-             norm[:, m + 1:].T[..., None],
-             out[:, m].T[..., None], norm[:, m:m + 1], src)
+             out[:, m].T[..., None], src)
 
 
-# Stands for -inf in phase 1, whose log-add-exp needs finite inputs.  It
-# absorbs every finite metric added to it, and exp(_FLOOR - x) is 0, so a
-# path through it weighs nothing, exactly as through -inf.
+def _time_major(w, edges) -> np.ndarray:
+    """w (B, K, c, S, A) as a contiguous (c, S, A, B, K) array, with the
+    (S, A) axes gathered by edges."""
+    B, K, c, S, A = w.shape
+    g = np.empty((c, S, A, B, K))
+    wt = w.transpose(2, 3, 4, 0, 1)
+    for s, a in np.ndindex(S, A):
+        g[:, s, a] = wt[:, edges[0][s, a], edges[1][s, a]]
+    return g
+
+
+def _chunk_transfers(g, src) -> np.ndarray:
+    """Phase 1: T[k, s, s0, b], the weight of the paths through chunk k of
+    block b that start in state s0 and end in state s, relative to the
+    heaviest of them, as a contiguous (K, S, S0, B, 1) array.
+
+    Each start state's row is divided by its own maximum at every step, so
+    that a row cannot underflow because another row outweighs it; the log
+    of those divisors is added back when the rows are put on one scale.
+    """
+    c, S, A, B, K = g.shape
+    trans = np.zeros((S, S, B, K))
+    trans[np.arange(S), np.arange(S)] = 1.0
+    divisors = np.empty((c, S, B, K))
+    for t in range(c):
+        cand = trans[src]
+        cand *= g[t][:, :, None]
+        trans = cand[:, 0]
+        for a in range(1, A):
+            trans = trans + cand[:, a]
+        _max_over_states(trans, axis=0, out=divisors[t], initial=_TINY)
+        trans /= divisors[t]
+    log_scale = np.log(divisors).sum(axis=0)
+    log_scale -= log_scale.max(axis=0)
+    trans *= np.exp(log_scale, out=log_scale)
+    return np.ascontiguousarray(trans.transpose(3, 0, 1, 2))[..., None]
+
+
+def _recurse(g, out, cur, src) -> None:
+    """Phases 2 and 3: the per-section recursion, in all K chunks at once.
+
+    g (c, S, A, B, K); cur (S, B, K) holds the chunk starts; out
+    (c, S, B, K) receives each section's state weights, divided by their
+    largest entry.  src (S, A) is the state input a of state s comes from.
+    The steps write a contiguous buffer, copied to out at the end.
+    """
+    buf = np.empty(out.shape)
+    for t in range(g.shape[0]):
+        cand = cur[src]
+        cand *= g[t]
+        cur = buf[t]
+        np.add(cand[:, 0], cand[:, 1], out=cur)
+        for a in range(2, cand.shape[1]):
+            cur += cand[:, a]
+        cur /= _max_over_states(cur, axis=0, initial=_TINY)
+    out[...] = buf
+
+
+@dataclass
+class BcjrResult:
+    app_input: np.ndarray       # (B, n) a-posteriori LLRs of input bits
+    app_output: np.ndarray      # (B, n, n_out) a-posteriori LLRs of label bits
+
+
+def _app_llrs(trellis: TrellisSpec, ws: DecoderWorkspace, masks,
+              metric: str) -> np.ndarray:
+    """A-posteriori LLRs, (B, n, len(masks)): for each (S, A) bit mask,
+    log(sum of the transition posteriors alpha * weight * beta' where the
+    bit is 1) - log(the sum where it is 0), clipped at +-LLR_SAT.
+
+    A side that underflowed to 0 gives +-LLR_SAT; both sides 0 means a
+    whole state vector underflowed, and raises ValueError naming the
+    trellis and `metric`.
+    """
+    B, n, S = ws.alpha[:, 1:].shape
+    # transition-major (S, A, B, n), like weights
+    post = ws.beta[:, 1:].transpose(2, 0, 1)[trellis.next_state]
+    post *= ws.weights.transpose(2, 3, 0, 1)
+    post *= ws.alpha[:, :-1].transpose(2, 0, 1)[:, None]
+    A, J = post.shape[1], len(masks)
+    ones = np.stack([np.broadcast_to(m, (S, A)).reshape(S * A)
+                     for m in masks])
+    sums = (np.vstack([ones, ~ones]).astype(float)
+            @ post.reshape(S * A, B * n)).reshape(2 * J, B, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        llr = np.log(sums[:J] / sums[J:])
+    if np.isnan(llr).any():
+        raise ValueError(
+            f"{trellis.name} BCJR with the {metric}: a whole state vector "
+            "underflowed to 0 (its metrics span more than a double holds)")
+    np.clip(llr, -LLR_SAT, LLR_SAT, out=llr)
+    return llr.transpose(1, 2, 0)
+
+
+def _input_mask(trellis: TrellisSpec) -> np.ndarray:
+    return np.broadcast_to([False, True], (trellis.num_states, 2))
+
+
+def bcjr_decode(trellis: TrellisSpec, gamma: np.ndarray) -> BcjrResult:
+    ws = bcjr_forward_backward(trellis, gamma)
+    masks = [_input_mask(trellis)] + [
+        trellis.output_bits[:, :, j] == 1
+        for j in range(trellis.outputs_per_step)]
+    llr = _app_llrs(trellis, ws, masks, "a-priori metric")
+    return BcjrResult(app_input=llr[..., 0], app_output=llr[..., 1:])
+
+
+def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior=None,
+                   sigma2: float) -> np.ndarray:
+    """Extrinsic LLRs on the trellis input bits of an inner line code.
+
+    From OOK `observations` of the label bits, input-bit `prior` LLRs
+    (zero if None) and the noise variance `sigma2`; the result is
+    app(input) minus the clamped prior.
+    """
+    obs = np.atleast_2d(np.asarray(observations, np.float64))
+    n = obs.shape[-1] // trellis.outputs_per_step
+    if prior is None:
+        prior = np.zeros((obs.shape[0], n))
+    prior = np.atleast_2d(np.asarray(prior, np.float64))
+    gamma = gamma_table_ook(trellis, obs, prior, sigma2)
+    ws = bcjr_forward_backward(trellis, gamma)
+    app_in = _app_llrs(trellis, ws, [_input_mask(trellis)],
+                       f"OOK metric at sigma2={sigma2:g}")[..., 0]
+    return app_in - clamp_llr(prior)
+
+
+
+
+# ---------------------------------------------------------------------------
+# Memoryless symbol-MAP decoders
+# ---------------------------------------------------------------------------
+
+# Stands for -inf in _logsumexp's running maximum, so that a row of only
+# -inf gives exp(-inf - _FLOOR) = 0 rather than exp(-inf + inf) = NaN.
 _FLOOR = -1e300
-
-
-def _logaddexp(x, y):
-    """np.logaddexp of finite arrays through numpy's vectorised exp and
-    log1p; np.logaddexp calls the scalar libm functions and is ~4x slower.
-    Agrees with it to rounding (a few ulp of the larger input)."""
-    out = np.subtract(x, y)
-    np.abs(out, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(x, y)
-    return out
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -236,7 +402,7 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 
     max + log(sum exp(x - max)), through numpy's vectorised exp and log,
     with the max and the sum folded over the axis's slices; on the short
-    axes of the posteriors this is several times faster than
+    axes of map_lut this is several times faster than
     np.logaddexp.reduce, which calls the scalar libm functions and runs one
     inner loop per row.  Agrees with it to rounding.  A row of only -inf
     (or of values below _FLOOR, which weigh nothing) gives -inf, without a
@@ -256,107 +422,6 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     out += m
     return out
 
-
-def _chunk_transfers(g, src) -> np.ndarray:
-    """Phase 1: T[s0, s, b, k] = LSE over the paths through chunk k of
-    block b that start in state s0 and end in state s (unnormalised)."""
-    c, S, A, B, K = g.shape
-    trans = np.full((S, S, B, K), _FLOOR)
-    trans[np.arange(S), np.arange(S)] = 0.0
-    for t in range(c):
-        cand = trans[:, src] + g[t][None]
-        trans = cand[:, :, 0]
-        for a in range(1, A):
-            trans = _logaddexp(trans, cand[:, :, a])
-    return trans
-
-
-def _recurse(g, out, norm, cur, cur_norm, src) -> None:
-    """Phases 2 and 3: the per-section recursion, in all K chunks at once.
-
-    g (c, S, A, B, K); cur (S, B, K) and cur_norm (B, K) are the chunk
-    starts; out (c, S, B, K) and norm (c, B, K) receive each section's
-    normalised metric and accumulated offset.  src (S, A) is the state
-    input a of state s comes from; None (cur[None] broadcasts) stands for
-    the dense trellis of phase 2, where input a comes from state a.  The
-    binary np.logaddexp over the inputs' slices is bit-identical to
-    np.logaddexp.reduce over the input axis, and cheaper.
-    """
-    for t in range(g.shape[0]):
-        cand = cur[src] + g[t]
-        nxt = cand[:, 0]
-        for a in range(1, cand.shape[1]):
-            nxt = np.logaddexp(nxt, cand[:, a])
-        m = nxt.max(axis=0)
-        cur = nxt - m
-        cur_norm = cur_norm + m
-        out[t] = cur
-        norm[t] = cur_norm
-
-
-def _posteriors(trellis: TrellisSpec, ws: DecoderWorkspace) -> np.ndarray:
-    """Per-transition joint log metrics alpha + gamma + beta', (B, n, S, A)."""
-    return (ws.alpha[:, :-1, :, None] + ws.gamma
-            + ws.beta[:, 1:][:, :, trellis.next_state])
-
-
-def _llr_from_partition(post: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """LSE over transitions with bit=1 minus LSE over bit=0."""
-    B, n, S, A = post.shape
-    flat = post.reshape(B, n, S * A)
-    m = np.broadcast_to(mask, (S, A)).reshape(S * A).astype(bool)
-    return _logsumexp(flat[..., m]) - _logsumexp(flat[..., ~m])
-
-
-@dataclass
-class BcjrResult:
-    app_input: np.ndarray       # (B, n) a-posteriori LLRs of input bits
-    app_output: np.ndarray      # (B, n, n_out) a-posteriori LLRs of label bits
-
-
-def _input_mask(trellis: TrellisSpec) -> np.ndarray:
-    return np.broadcast_to([False, True], (trellis.num_states, 2))
-
-
-def bcjr_decode(trellis: TrellisSpec, gamma: np.ndarray) -> BcjrResult:
-    ws = bcjr_forward_backward(trellis, gamma)
-    post = _posteriors(trellis, ws)
-    input_mask = _input_mask(trellis)
-    app_in = _llr_from_partition(post, input_mask)
-    # a label bit equal to the input bit on every transition (the RSC
-    # systematic bit) has the input's APP
-    label_masks = [trellis.output_bits[:, :, j] == 1
-                   for j in range(trellis.outputs_per_step)]
-    app_out = np.stack([
-        app_in if (mask == input_mask).all()
-        else _llr_from_partition(post, mask)
-        for mask in label_masks], axis=-1)
-    return BcjrResult(app_input=app_in, app_output=app_out)
-
-
-def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior=None,
-                   sigma2: float) -> np.ndarray:
-    """Extrinsic LLRs on the trellis input bits of an inner line code.
-
-    From OOK `observations` of the label bits, input-bit `prior` LLRs
-    (zero if None) and the noise variance `sigma2`; the result is
-    app(input) minus the clamped prior.
-    """
-    obs = np.atleast_2d(np.asarray(observations, np.float64))
-    n = obs.shape[-1] // trellis.outputs_per_step
-    if prior is None:
-        prior = np.zeros((obs.shape[0], n))
-    prior = np.atleast_2d(np.asarray(prior, np.float64))
-    gamma = gamma_table_ook(trellis, obs, prior, sigma2)
-    ws = bcjr_forward_backward(trellis, gamma)
-    app_in = _llr_from_partition(_posteriors(trellis, ws),
-                                 _input_mask(trellis))
-    return app_in - clamp_llr(prior)
-
-
-# ---------------------------------------------------------------------------
-# Memoryless symbol-MAP decoders
-# ---------------------------------------------------------------------------
 
 def map_lut(spec: LutCodeSpec, y: np.ndarray, prior=None, *,
             sigma2: float) -> np.ndarray:

@@ -40,9 +40,14 @@ def _report(name, ok, detail=""):
 # -------------------------------------------------------------------------
 
 def _max_dev(a, b):
-    """Largest |a-b|, counting equal values (including equal ±inf) as 0."""
+    """Largest |a-b| of library values a against reference values b,
+    counting equal values as 0.  A reference ±inf (a bit the trellis
+    forces) is matched by a same-signed library LLR saturated at
+    ±siso.LLR_SAT, less at most the clamped prior an extrinsic subtracts."""
+    saturated = (np.isinf(b) & (np.sign(a) == np.sign(b))
+                 & (np.abs(a) >= siso.LLR_SAT - siso.LLR_CLAMP))
     with np.errstate(invalid="ignore"):
-        d = np.where(a == b, 0.0, np.abs(a - b))
+        d = np.where((a == b) | saturated, 0.0, np.abs(a - b))
     return np.inf if np.isnan(d).any() else float(d.max()) if d.size else 0.0
 
 

@@ -50,6 +50,18 @@ class TestMeasureMi:
         with pytest.raises(ValueError):
             ex.measure_mi(np.zeros(5), np.zeros(6))
 
+    def test_softplus_matches_logaddexp(self):
+        rng = np.random.default_rng(2)
+        x = np.concatenate([rng.normal(0, 30, 10 ** 5),
+                            [0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0,
+                             -800.0, 1e300, -1e300]])
+        np.testing.assert_allclose(ex._softplus(x), np.logaddexp(0.0, x),
+                                   rtol=1e-12, atol=1e-12)
+        truth = rng.integers(0, 2, x.size)
+        signed = (2.0 * truth - 1.0) * x
+        want = 1.0 - np.mean(np.logaddexp(0.0, -signed)) / ex.LN2
+        assert abs(ex.measure_mi(x, truth) - min(max(want, 0.0), 1.0)) < 1e-12
+
 
 @pytest.fixture(scope="module")
 def sigma2_5db():

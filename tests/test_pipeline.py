@@ -134,6 +134,22 @@ class TestTransmitReceive:
         u_hat, trace = receive(y, cfg, 1e-4, true_u=u)
         assert (u_hat == u).all()
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_shortest_messages_decode(self, scheme, k):
+        """k = 1 leaves the outer code's tail bits forced, so some outer
+        LLRs saturate; they must come back finite, not -inf (which the
+        inner decoder's prior check rejects)."""
+        cfg = make_chain(scheme, k=k, iterations=4, genie_stopping=False)
+        rng = np.random.default_rng(30 + k)
+        u = rng.integers(0, 2, (4, k)).astype(np.uint8)
+        s2 = cfg.sigma2(3.0)
+        u_hat, trace = receive(transmit(u, cfg, s2, rng), cfg, s2,
+                               true_u=u)
+        assert u_hat.shape == u.shape
+        assert np.isin(u_hat, (0, 1)).all()
+        assert trace.iterations.shape == (4,)
+
     def test_noiseless_single_iteration(self):
         cfg = make_chain("cc-split-phase", k=96, iterations=1,
                          genie_stopping=False)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,9 +158,8 @@ class TestBcjrProperties:
         cc = codes.build_outer_cc()
         rng = np.random.default_rng(15)
         cp = rng.normal(0, 2, (1, 50, 2))
-        tot = total_log_prob(
-            siso.bcjr_forward_backward(cc, gamma_table_llr(cc, cp)))
-        assert np.ptp(tot) < 1e-6
+        assert_states_conserved(
+            cc, siso.bcjr_forward_backward(cc, gamma_table_llr(cc, cp)))
 
     def test_long_block_stability(self):
         """10^5-section block with strong LLRs stays finite and sane."""
@@ -172,15 +173,42 @@ class TestBcjrProperties:
         assert np.isfinite(le).all()
 
 
-def total_log_prob(ws):
-    """LSE over states of the unnormalised alpha + beta, per section: the
-    same for every section of a consistent decode pass."""
-    return (np.logaddexp.reduce(ws.alpha + ws.beta, axis=-1)
-            + ws.alpha_norm + ws.beta_norm)
+def state_posteriors(trellis, ws):
+    """Per section l, the state posterior at boundary l three ways:
+    alpha * beta there, and the marginals of the transition posteriors of
+    the sections on either side (source states of section l, destination
+    states of section l - 1); each (B, n - 1, S), normalised to sum 1."""
+    post = transition_posteriors(trellis, ws)
+    S = trellis.num_states
+    into = np.zeros(post.shape[:2] + (S,))
+    for s, a in np.ndindex(S, 2):
+        into[:, :, trellis.next_state[s, a]] += post[:, :, s, a]
+    here = ws.alpha * ws.beta
+    return [x / x.sum(axis=-1, keepdims=True)
+            for x in (here[:, 1:-1], post.sum(axis=-1)[:, 1:], into[:, :-1])]
+
+
+def assert_states_conserved(trellis, ws):
+    """A consistent decode pass gives every section boundary the same
+    state posterior from alpha * beta and from the sections around it."""
+    here, out_of, into = state_posteriors(trellis, ws)
+    np.testing.assert_allclose(out_of, here, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(into, here, rtol=0, atol=1e-12)
+
+
+def transition_posteriors(trellis, ws):
+    """alpha * weight * beta' of every transition, normalised per section
+    to sum 1: (B, n, S, A)."""
+    post = (ws.alpha[:, :-1, :, None] * ws.weights
+            * ws.beta[:, 1:][:, :, trellis.next_state])
+    return post / post.sum(axis=(2, 3), keepdims=True)
 
 
 def plain_forward_backward(trellis, gamma):
-    """The per-section alpha/beta recursion, one section per step."""
+    """The per-section alpha/beta recursion in the log domain, one section
+    per step: the reference the probability-domain scan is checked
+    against.  Returns max-normalised log alpha and beta and the offsets
+    taken out."""
     B, n, S, A = gamma.shape
     in_state, in_input = trellis.incoming()
     alpha = np.full((B, n + 1, S), -np.inf)
@@ -205,15 +233,36 @@ def plain_forward_backward(trellis, gamma):
     return alpha, beta, alpha_norm, beta_norm
 
 
+def bit_masks(trellis):
+    """The input bit's mask, then each label bit's, over (S, A)."""
+    return [siso._input_mask(trellis)] + [
+        trellis.output_bits[:, :, j] == 1
+        for j in range(trellis.outputs_per_step)]
+
+
+def plain_decode(trellis, gamma):
+    """Log alpha and beta, transition posteriors (normalised per section)
+    and input/label LLRs of the log-domain reference."""
+    alpha, beta, _, _ = plain_forward_backward(trellis, gamma)
+    post = (alpha[:, :-1, :, None] + gamma
+            + beta[:, 1:][:, :, trellis.next_state])
+    B, n, S, A = post.shape
+    flat = post.reshape(B, n, S * A)
+    total = np.logaddexp.reduce(flat, axis=-1)
+    llrs = []
+    for mask in bit_masks(trellis):
+        m = np.broadcast_to(mask, (S, A)).reshape(S * A)
+        llrs.append(np.logaddexp.reduce(flat[..., m], axis=-1)
+                    - np.logaddexp.reduce(flat[..., ~m], axis=-1))
+    return (alpha, beta, np.exp(post - total[..., None, None]),
+            np.stack(llrs, axis=-1))
+
+
 def chunked_decode(trellis, gamma, chunk):
     """Workspace and input/label APPs with a forced scan chunk length."""
     ws = siso._forward_backward(trellis, gamma, chunk)
-    post = siso._posteriors(trellis, ws)
-    app_in = siso._llr_from_partition(post, siso._input_mask(trellis))
-    app_out = np.stack([
-        siso._llr_from_partition(post, trellis.output_bits[:, :, j] == 1)
-        for j in range(trellis.outputs_per_step)], axis=-1)
-    return ws, app_in, app_out
+    llr = siso._app_llrs(trellis, ws, bit_masks(trellis), "test metric")
+    return ws, llr[..., 0], llr[..., 1:]
 
 
 def split_phase_gamma(rng, B, n, sigma2, prior_scale=2.0):
@@ -235,18 +284,36 @@ SCAN_LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
 
 
 def assert_same_decode(trellis, gamma, chunk):
-    """A chunked scan agrees with the one-chunk recursion to 1e-9."""
+    """A chunked scan agrees with the one-chunk recursion: the same zero
+    state weights, the others and the LLRs to 1e-9."""
     n = gamma.shape[1]
     ws1, in1, out1 = chunked_decode(trellis, gamma, n)
     ws, app_in, app_out = chunked_decode(trellis, gamma, chunk)
     for got, want in ((ws.alpha, ws1.alpha), (ws.beta, ws1.beta)):
-        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
-        np.testing.assert_allclose(got, want, atol=1e-9)
-    for got, want in ((ws.alpha_norm, ws1.alpha_norm),
-                      (ws.beta_norm, ws1.beta_norm)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+        np.testing.assert_array_equal(got == 0, want == 0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
     np.testing.assert_allclose(app_in, in1, atol=1e-9)
     np.testing.assert_allclose(app_out, out1, atol=1e-9)
+
+
+def assert_matches_log_domain(trellis, gamma, chunk):
+    """The scan against the log-domain reference where metrics may exceed
+    the range of a double: a state weight is 0 exactly where the
+    reference's exponentiates to 0 (its -inf, or a loser by ~1e6), and
+    the LLRs agree once clipped at +-LLR_CLAMP, the most a decoder
+    downstream reads."""
+    ws, app_in, app_out = chunked_decode(trellis, gamma, chunk)
+    alpha, beta, _, llr = plain_decode(trellis, gamma)
+    for got, log_want in ((ws.alpha, alpha), (ws.beta, beta)):
+        # no reference weight near the underflow edge, where rounding
+        # could decide between 0 and a subnormal
+        assert not ((log_want < -700) & (log_want > -800)).any()
+        np.testing.assert_array_equal(got == 0, np.exp(log_want) == 0)
+        np.testing.assert_allclose(got, np.exp(log_want), rtol=1e-9, atol=0)
+    np.testing.assert_allclose(clamp_llr(app_in), clamp_llr(llr[..., 0]),
+                               atol=1e-9)
+    np.testing.assert_allclose(clamp_llr(app_out), clamp_llr(llr[..., 1:]),
+                               atol=1e-9)
 
 
 class TestChunkedScan:
@@ -266,41 +333,50 @@ class TestChunkedScan:
         rng = np.random.default_rng(22)
         for trellis, gamma in (split_phase_gamma(rng, 3, 203, 0.4),
                                outer_gamma(rng, 3, 203)):
-            ws = siso._forward_backward(trellis, gamma, 203)
-            want = plain_forward_backward(trellis, gamma)
-            for got, w in zip((ws.alpha, ws.beta, ws.alpha_norm,
-                               ws.beta_norm), want):
-                np.testing.assert_array_equal(got, w)
+            ws, app_in, app_out = chunked_decode(trellis, gamma, 203)
+            alpha, beta, post, llr = plain_decode(trellis, gamma)
+            np.testing.assert_allclose(transition_posteriors(trellis, ws),
+                                       post, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(app_in, llr[..., 0], atol=1e-9)
+            np.testing.assert_allclose(app_out, llr[..., 1:], atol=1e-9)
 
     def test_clamped_priors(self):
         """Priors beyond +-50; chunk 1 is shorter than the outer code's
-        memory, so its transfers keep -inf entries."""
+        memory, so its transfers keep zero entries."""
         rng = np.random.default_rng(23)
         sp = codes.build_split_phase()
         v = rng.integers(0, 2, (3, 203))
         y = codes.encode(sp, v) + rng.normal(0, 0.6, (3, 406))
         prior = rng.choice([-1e3, 1e3], (3, 203))
-        assert_same_decode(sp, gamma_table_ook(sp, y, prior, 0.36), CHUNK)
+        assert_matches_log_domain(sp, gamma_table_ook(sp, y, prior, 0.36),
+                                  CHUNK)
         cc = codes.build_outer_cc()
         gamma = gamma_table_llr(cc, rng.choice([-1e3, 1e3], (3, 203, 2)))
-        assert_same_decode(cc, gamma, CHUNK)
-        assert_same_decode(cc, gamma, 1)
+        assert_matches_log_domain(cc, gamma, CHUNK)
+        assert_matches_log_domain(cc, gamma, 1)
 
     def test_huge_metrics(self):
-        """sigma^2 = 1e-6: metrics near 1e6 per section, offsets near 1e8,
-        and the losing state near -1e6 (probability 0)."""
+        """sigma^2 = 1e-6: metrics near 1e6 per section, and the losing
+        state near -1e6 (probability 0)."""
         rng = np.random.default_rng(24)
         sp, gamma = split_phase_gamma(rng, 3, 203, 1e-6, prior_scale=50.0)
-        assert_same_decode(sp, gamma, CHUNK)
-        assert_same_decode(sp, gamma, 1)
+        assert_matches_log_domain(sp, gamma, CHUNK)
+        assert_matches_log_domain(sp, gamma, 1)
+
+    @pytest.mark.parametrize("chunk", [1, CHUNK, 203])
+    def test_noiseless_limit_any_chunking(self, chunk):
+        """Split-phase at sigma^2 = 1e-6 without priors: nearly every LLR
+        saturates, whatever the chunking."""
+        rng = np.random.default_rng(28)
+        sp, gamma = split_phase_gamma(rng, 2, 203, 1e-6, prior_scale=0.0)
+        assert_matches_log_domain(sp, gamma, chunk)
 
     def test_path_probability_conservation_across_chunks(self):
         rng = np.random.default_rng(25)
         for trellis, gamma in (split_phase_gamma(rng, 2, 203, 0.4),
                                outer_gamma(rng, 2, 203)):
-            tot = total_log_prob(siso._forward_backward(trellis, gamma,
-                                                        CHUNK))
-            assert (np.ptp(tot, axis=-1) < 1e-9 * np.abs(tot).max()).all()
+            assert_states_conserved(
+                trellis, siso._forward_backward(trellis, gamma, CHUNK))
 
     def test_chunking_follows_the_call_shape(self):
         # long desk-sized blocks are split; wide short EXIT calls are not
@@ -308,6 +384,56 @@ class TestChunkedScan:
         assert siso._chunk_length(5462, 8, 4, 2) < 5462 // 2
         assert siso._chunk_length(256, 400, 2, 2) == 256
         assert siso._chunk_length(130, 770, 4, 2) == 130
+
+
+class TestNumericalContract:
+    """The probability-domain BCJR's contract (see the siso docstring):
+    exact while no state weight underflows, +-LLR_SAT where one side of an
+    LLR does, ValueError where a whole state vector does."""
+
+    def test_forced_bits_saturate(self):
+        """k = 1: the tail drives the outer code back to state 0, so some
+        code bits are the same on both paths; the reference gives them
+        +-inf, the decoder +-LLR_SAT."""
+        assert siso.LLR_SAT >= 700
+        cc = codes.build_outer_cc()
+        rng = np.random.default_rng(29)
+        cp = rng.normal(0, 2, (1 + cc.memory, 2))
+        res = bcjr_decode(cc, gamma_table_llr(cc, cp[None]))
+        want, _ = oracles.exhaustive_outer_extrinsic(cc, cp, 1)
+        forced = np.isinf(want)
+        assert forced.any() and np.isfinite(res.app_output).all()
+        np.testing.assert_array_equal(res.app_output[0][forced],
+                                      np.sign(want[forced]) * siso.LLR_SAT)
+        np.testing.assert_allclose(res.app_output[0][~forced] - cp[~forced],
+                                   want[~forced], atol=1e-9)
+
+    def test_underflowed_side_saturates(self):
+        """Noiseless split-phase at sigma^2 = 1e-6, no priors: the
+        alternative of every bit weighs exp(-1e6), which underflows."""
+        sp = codes.build_split_phase()
+        v = np.random.default_rng(30).integers(0, 2, (2, 64))
+        y = codes.encode(sp, v).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            le = bcjr_extrinsic(sp, observations=y, sigma2=1e-6)
+        np.testing.assert_array_equal(le, np.where(v == 1, siso.LLR_SAT,
+                                                   -siso.LLR_SAT))
+
+    def test_collapse_raises(self):
+        """BMC at sigma^2 = 1e-6 on noisy codewords: the truncated OOK
+        metric puts forward and backward weights about 1000 nats apart,
+        beyond a double, so the product across a section is 0 for every
+        state."""
+        bmc = codes.build_bmc()
+        rng = np.random.default_rng(31)
+        v = rng.integers(0, 2, (2, 203))
+        y = codes.encode(bmc, v) + rng.normal(0, 1e-3, (2, 406))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"bmc BCJR .* sigma2=1e-06.* underflowed"):
+                bcjr_extrinsic(bmc, observations=y, sigma2=1e-6)
 
 
 class TestLogSumExp:
