@@ -1,18 +1,19 @@
 """Simulation front end: config files, BER sweeps, EXIT runs, stream metrics.
 
 Config files are flat key=value text ('#' comments).  Every numeric output
-is a pure function of (config, master seed): block i at grid point j draws
-its message and noise from generator seeded by (seed, j, i), so scheduling
-order and worker count never change results.
+is a pure function of (config, master seed): `decode_blocks` draws block i
+at grid point j, message then noise, from the generator seeded by
+(seed, j, i), so scheduling order and worker count never change results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,6 @@ import numpy as np
 from . import exitchart, pipeline
 from .channel import awgn, block_rng, ook_modulate
 
-BER_COLUMNS = ["ebn0_db", "sigma2", "blocks_run", "bit_errors", "ber",
-               "ber_ci_lo", "ber_ci_hi", "frame_errors", "fer",
-               "mean_iterations", "wall_time_s", "config_digest"]
 EXIT_COLUMNS = ["component", "ebn0_db", "i_a", "i_e", "samples"]
 TRAJECTORY_COLUMNS = ["half_iteration", "i_a", "i_e"]
 
@@ -245,9 +243,10 @@ class BerRecord:
         return [getattr(self, c) for c in BER_COLUMNS]
 
 
+BER_COLUMNS = [f.name for f in fields(BerRecord)]
+
+
 def _wilson_ci(errors: int, n: int) -> tuple[float, float]:
-    if n == 0:
-        return 0.0, 0.0
     z = 1.959963984540054
     phat = errors / n
     denom = 1 + z * z / n
@@ -256,47 +255,53 @@ def _wilson_ci(errors: int, n: int) -> tuple[float, float]:
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+def decode_blocks(chain: pipeline.ChainConfig, sigma2: float, seed: int,
+                  point: int, first: int, count: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Bit errors and iterations, each (count,), of blocks first, first+1,
+    ... at one point.  Block i draws its message, then its noise, from
+    block_rng(seed, point, i), whichever call decodes it."""
+    rngs = [block_rng(seed, point, first + i) for i in range(count)]
+    u = np.stack([r.integers(0, 2, size=chain.k_user)
+                  for r in rngs]).astype(np.uint8)
+    tx = pipeline.encode_chain(u, chain)["tx"]
+    y = np.stack([awgn(ook_modulate(t), sigma2, r) for t, r in zip(tx, rngs)])
+    u_hat, trace = pipeline.receive(y, chain, sigma2, true_u=u)
+    return (u_hat != u).sum(axis=1), trace.iterations
+
+
 def simulate_point(cfg_chain: pipeline.ChainConfig, ebn0_db: float,
                    point_index: int, master_seed: int, max_blocks: int,
-                   target_errors: int, batch: int,
-                   digest: str = "") -> BerRecord:
-    """Simulate blocks at one Eb/N0 point until enough errors or blocks."""
+                   target_errors: int, batch: int) -> BerRecord:
+    """Decode blocks 0, 1, ... at one Eb/N0 point, a batch at a time, until
+    max_blocks or, checked after each batch, target_errors bit errors."""
+    for name, n in (("max_blocks", max_blocks),
+                    ("target_errors", target_errors), ("batch", batch)):
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     sigma2 = cfg_chain.sigma2(ebn0_db)
     t0 = time.perf_counter()
-    k = cfg_chain.k_user
-    bit_errors = frame_errors = blocks = 0
-    iter_sum = 0
-    while blocks < max_blocks and bit_errors < target_errors:
-        nb = min(batch, max_blocks - blocks)
-        rngs = [block_rng(master_seed, point_index, blocks + i)
-                for i in range(nb)]
-        u = np.stack([r.integers(0, 2, size=k) for r in rngs]).astype(np.uint8)
-        tx = pipeline.encode_chain(u, cfg_chain)["tx"]
-        y = np.stack([awgn(ook_modulate(tx[i]), sigma2, rngs[i])
-                      for i in range(nb)])
-        u_hat, trace = pipeline.receive(y, cfg_chain, sigma2, true_u=u)
-        errs = (u_hat != u).sum(axis=1)
-        bit_errors += int(errs.sum())
-        frame_errors += int((errs > 0).sum())
-        iter_sum += int(trace.iterations.sum())
-        blocks += nb
-    nbits = blocks * k
-    ber = bit_errors / nbits if nbits else 0.0
+    errs = iters = np.zeros(0, dtype=np.int64)
+    while errs.size < max_blocks and errs.sum() < target_errors:
+        e, it = decode_blocks(cfg_chain, sigma2, master_seed, point_index,
+                              errs.size, min(batch, max_blocks - errs.size))
+        errs, iters = np.append(errs, e), np.append(iters, it)
+    blocks, bit_errors = errs.size, int(errs.sum())
+    frame_errors, nbits = int((errs > 0).sum()), blocks * cfg_chain.k_user
     lo, hi = _wilson_ci(bit_errors, nbits)
     return BerRecord(ebn0_db=ebn0_db, sigma2=sigma2, blocks_run=blocks,
-                     bit_errors=bit_errors, ber=ber, ber_ci_lo=lo,
-                     ber_ci_hi=hi, frame_errors=frame_errors,
-                     fer=frame_errors / blocks if blocks else 0.0,
-                     mean_iterations=iter_sum / blocks if blocks else 0.0,
-                     wall_time_s=time.perf_counter() - t0,
-                     config_digest=digest)
+                     bit_errors=bit_errors, ber=bit_errors / nbits,
+                     ber_ci_lo=lo, ber_ci_hi=hi, frame_errors=frame_errors,
+                     fer=frame_errors / blocks,
+                     mean_iterations=int(iters.sum()) / blocks,
+                     wall_time_s=time.perf_counter() - t0, config_digest="")
 
 
 def _point_job(args):
     cfg, j, ebn0 = args
-    return simulate_point(chain_from_config(cfg), ebn0, j, cfg["seed"],
-                          cfg["max_blocks"], cfg["target_errors"],
-                          cfg["batch"], digest=config_digest(cfg))
+    rec = simulate_point(chain_from_config(cfg), ebn0, j, cfg["seed"],
+                         cfg["max_blocks"], cfg["target_errors"], cfg["batch"])
+    return replace(rec, config_digest=config_digest(cfg))
 
 
 def run_ber_sweep(cfg: dict, out_dir: str | Path | None = None

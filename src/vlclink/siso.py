@@ -107,8 +107,9 @@ def gamma_table_llr(trellis: TrellisSpec,
     """
     cp = clamp_llr(np.asarray(code_prior, dtype=np.float64))
     _check_finite("code prior", cp)
-    c = trellis.output_bits.astype(np.float64)
-    return np.einsum("blj,saj->blsa", cp, c)
+    S, A, j = trellis.output_bits.shape
+    c = trellis.output_bits.reshape(S * A, j).astype(np.float64)
+    return (cp.reshape(-1, j) @ c.T).reshape(*cp.shape[:2], S, A)
 
 
 # ---------------------------------------------------------------------------

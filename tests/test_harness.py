@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from vlclink import cli, harness
+from vlclink import cli, harness, pipeline
 from vlclink.codes import build_split_phase, encode
 from vlclink.harness import ConfigError
 
@@ -204,6 +204,58 @@ class TestBerSweep:
         rec = harness.run_ber_sweep(cfg)[0]
         assert rec.bit_errors >= 5
         assert rec.blocks_run < 50
+
+
+class TestSimulatePoint:
+
+    chain = pipeline.make_chain("cc-split-phase", 128, iterations=5,
+                                genie_stopping=True)
+
+    def test_blocks_do_not_depend_on_the_call(self):
+        s2 = self.chain.sigma2(5.0)
+        whole = harness.decode_blocks(self.chain, s2, 3, 1, 0, 8)
+        head = harness.decode_blocks(self.chain, s2, 3, 1, 0, 3)
+        tail = harness.decode_blocks(self.chain, s2, 3, 1, 3, 5)
+        for got, a, b in zip(whole, head, tail):
+            assert got.shape == (8,)
+            np.testing.assert_array_equal(got, np.concatenate([a, b]))
+        errors, iterations = whole
+        assert 0 < (errors > 0).sum() < 8       # some blocks fail, some not
+        assert len(set(iterations)) > 1         # genie stops some early
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("ebn0, max_blocks, target", [
+        (3.0, 20, 100),         # stops on bit errors
+        (5.0, 7, 10 ** 9)])     # stops on blocks
+    def test_fold_over_decode_blocks(self, batch, ebn0, max_blocks, target):
+        rec = harness.simulate_point(self.chain, ebn0, 1, 3, max_blocks,
+                                     target, batch)
+        s2 = self.chain.sigma2(ebn0)
+        errors, iterations = [], []
+        while len(errors) < max_blocks and sum(errors) < target:
+            e, it = harness.decode_blocks(
+                self.chain, s2, 3, 1, len(errors),
+                min(batch, max_blocks - len(errors)))
+            errors += e.tolist()
+            iterations += it.tolist()
+        blocks, bits = len(errors), len(errors) * self.chain.k_user
+        frames = sum(e > 0 for e in errors)
+        assert (blocks < max_blocks) == (target < 10 ** 9)
+        assert (rec.sigma2, rec.blocks_run) == (s2, blocks)
+        assert (rec.bit_errors, rec.ber) == (sum(errors), sum(errors) / bits)
+        assert (rec.frame_errors, rec.fer) == (frames, frames / blocks)
+        assert rec.mean_iterations == sum(iterations) / blocks
+        assert rec.ber_ci_lo < rec.ber < rec.ber_ci_hi
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_blocks", 0), ("target_errors", 0), ("batch", 0),
+        ("batch", -1), ("max_blocks", 2.5), ("target_errors", None)])
+    def test_unusable_count_rejected(self, key, value):
+        counts = dict(max_blocks=4, target_errors=10, batch=2)
+        counts[key] = value
+        chain = pipeline.make_chain("cc-split-phase", 64)
+        with pytest.raises(ValueError, match=f"{key} must be .*>= 1"):
+            harness.simulate_point(chain, 6.0, 0, 1, **counts)
 
 
 class TestThreshold:

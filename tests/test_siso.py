@@ -49,6 +49,19 @@ class TestGammaLlr:
         assert gamma_llr([1], [10.0]) == pytest.approx(10.0)
         assert gamma_llr([0], [10.0]) == 0.0
 
+    @pytest.mark.parametrize("builder", [codes.build_outer_cc,
+                                         codes.build_bmc])
+    def test_table_matches_scalar_metric(self, builder):
+        trellis = builder()
+        rng = np.random.default_rng(27)
+        prior = rng.normal(0, 30, (3, 7, 2))    # some beyond the clamp
+        prior[rng.random(prior.shape) < 0.2] = 0.0
+        g = gamma_table_llr(trellis, prior)
+        assert g.shape == (3, 7, trellis.num_states, 2)
+        for b, l, s, a in np.ndindex(g.shape):
+            want = gamma_llr(trellis.output_bits[s, a], prior[b, l])
+            assert g[b, l, s, a] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
 
 class TestBcjrAgainstOracle:
 
