@@ -119,13 +119,12 @@ def encode(spec: TrellisSpec, bits: np.ndarray) -> np.ndarray:
     single = bits.ndim == 1
     bits = np.atleast_2d(bits)
     B, n_steps = bits.shape
-
-    state = np.zeros(B, dtype=np.int64)
-    out = np.empty((B, n_steps, spec.outputs_per_step), dtype=np.uint8)
-    for l in range(n_steps):
-        a = bits[:, l]
-        out[:, l] = spec.output_bits[state, a]
-        state = spec.next_state[state, a]
+    # Chunks of about sqrt(n) steps save the per-step overhead of n steps
+    # but follow every start state in phase 1; that pays up to about 256
+    # (state, block) pairs per step.  Wider batches run as one chunk, the
+    # plain per-step loop.
+    chunk = round(n_steps ** 0.5) if spec.num_states * B <= 256 else n_steps
+    out, state = _run(spec, bits, chunk)
 
     if spec.termination == "tail-to-zero":
         tails = spec.tail_table()[state]          # (B, memory)
@@ -141,6 +140,44 @@ def encode(spec: TrellisSpec, bits: np.ndarray) -> np.ndarray:
 
     coded = out.reshape(B, -1)
     return coded[0] if single else coded
+
+
+def _run(spec: TrellisSpec, bits: np.ndarray, chunk: int):
+    """Labels (B, n, outputs_per_step) and end states (B,) of the encoder
+    run from state 0 over bits (B, n), as a scan in chunks of `chunk`
+    steps.
+
+    (1) Each chunk's end state from every start state, vectorised over
+    chunks; (2) a walk over the chunk starts; (3) each chunk's labels from
+    its true start, vectorised over chunks.  The n mod chunk remaining
+    steps follow one at a time; unless chunk splits n at least in two,
+    that is all of them, the plain per-step loop.
+    """
+    B, n = bits.shape
+    out = np.empty((B, n, spec.outputs_per_step), dtype=np.uint8)
+    state = np.zeros(B, dtype=np.int64)
+    K = n // chunk if 0 < 2 * chunk <= n else 0
+    m = K * chunk
+    if K:
+        steps = bits[:, :m].reshape(B, K, chunk)
+        ends = np.arange(spec.num_states)[:, None, None]
+        for t in range(chunk):
+            ends = spec.next_state[ends, steps[:, :-1, t]]
+        starts = np.zeros((B, K), dtype=np.int64)
+        rows = np.arange(B)
+        for k in range(1, K):
+            starts[:, k] = ends[starts[:, k - 1], rows, k - 1]
+        chunked = out[:, :m].reshape(B, K, chunk, -1, copy=False)
+        for t in range(chunk):
+            a = steps[:, :, t]
+            chunked[:, :, t] = spec.output_bits[starts, a]
+            starts = spec.next_state[starts, a]
+        state = starts[:, -1]
+    for l in range(m, n):
+        a = bits[:, l]
+        out[:, l] = spec.output_bits[state, a]
+        state = spec.next_state[state, a]
+    return out, state
 
 
 def build_outer_cc() -> TrellisSpec:

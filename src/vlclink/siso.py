@@ -15,7 +15,11 @@ exact.
 The BCJR runs in the probability domain: each section's log metrics are
 shifted by their maximum and exponentiated once, the forward and backward
 recursions only multiply and add, and every step divides its state vector
-by its largest entry.  Numerical contract:
+by its largest entry.  Both recursions run as one chunked scan (_scan):
+each chunk's transfer matrix is computed once per call, alpha crosses a
+chunk by it and beta by its transpose, and the pass over the chunk
+boundaries is the same scan one level down, on the dense trellis of the
+transfers.  Numerical contract:
 
 1. Exact: as long as no state weight underflows (falls below ~1e-308 of
    the largest in its vector), the LLRs equal those of the log-domain
@@ -132,65 +136,88 @@ class DecoderWorkspace:
     weights: np.ndarray         # (B, n, S, A)
 
 
-# Cost model of one forward + backward pass, chunk by chunk: a fixed cost
-# per step of phases 1, 2 and 3 of _scan, plus a cost per element of that
-# step's work arrays.  Fitted by non-negative least squares, on relative
-# error, to the fastest of 4-7 _forward_backward timings of split-phase and
-# the outer code at each of 844 shapes (B = 1..770, n = 130..8193, chunk
-# lengths 4..n), with a fixed cost per call as a further unknown: median
-# misfit 9 %, 90th percentile 28 %.  Measured on a 2-core 2.0 GHz Xeon VM,
-# Python 3.11, numpy 2.4.  The chunking it picks changes rounding only
-# (1e-13).
-_STEP_S = (32.6e-6, 28.0e-6, 21.4e-6)
-_ELEMENT_S = (7.2e-9, 10.2e-9, 30.6e-9)
+# Cost model of _scan, in seconds on a 2-core 2.0 GHz Xeon VM (Python 3.11,
+# numpy 2.4).  One level over n sections of B blocks, on a trellis with S
+# states and A edges into each, in chunks of c (K = n // c of them and
+# r = n mod c sections left over), costs
+#   _LEVEL_S + _LEVEL_ELEMENT_S * n*S*A*B  (copies and elementwise work)
+#   + _SPLIT_ELEMENT_S * n*S*A*B, if K > 1  (the copies gather strided)
+#   + _REMAINDER_S, if r > 0
+#   + 2 (c + r) phase-3 steps of _STEP_S[1] + _EDGE_S[1] * A each
+#   + c phase-1 steps of _STEP_S[0] + _EDGE_S[0] * A
+#     + _TRANSFER_ELEMENT_S * S*S*A*B*K each, if K > 1,
+#   + the cheapest boundary pass: this model for K sections with A = S.
+# The step costs are fitted by least squares on relative error to the
+# fastest of 3-5 timings of 32 phase-1 and phase-3 steps, at 1-32768
+# chunks on split-phase, the outer code and the dense 4-state trellis
+# (median misfit 9 %).  The level costs are then fitted by non-negative
+# least squares, with the step costs held fixed, to whole-call timings of
+# 1703 chunk plans at 25 shapes (B = 1..770, n = 130..8193), each the
+# median of 3 rounds divided by a calibration decode timed next to it
+# (median misfit 13 %, 90th percentile 34 %).  The chunking it picks
+# changes rounding only (1e-13).
+_STEP_S = (5.20e-6, 3.25e-6)
+_EDGE_S = (0.93e-6, 1.00e-6)
+_TRANSFER_ELEMENT_S = 1.83e-9
+_LEVEL_S = 36.1e-6
+_LEVEL_ELEMENT_S = 15.3e-9
+_SPLIT_ELEMENT_S = 1.6e-9
+_REMAINDER_S = 8.8e-6
 
 
 @lru_cache(maxsize=256)
 def _chunk_length(n: int, B: int, S: int, A: int) -> int:
-    """Chunk length the cost model rates fastest for gamma of shape
-    (B, n, S, A): n (one chunk, the plain recursion) unless a split into
-    K >= 2 chunks is predicted to be faster."""
-    (o1, o2, o3), (e1, e2, e3) = _STEP_S, _ELEMENT_S
-    c = np.arange(1, n // 2 + 1)
-    K = n // c
-    r = n - K * c
-    cost = (c * (o1 + e1 * S * S * A * B * (K - 1))
-            + (K - 1) * (o2 + e2 * S * S * B)
-            + (c + r) * o3 + (c * K + r) * e3 * S * A * B)
-    if not c.size or cost.min() >= n * (o3 + e3 * S * A * B):
-        return n
-    return int(c[np.argmin(cost)])
+    """Chunk length the cost model rates fastest for a scan of n sections
+    of B blocks (see _scan): n (one chunk, the plain recursion) unless a
+    split into K >= 2 chunks is predicted to be faster."""
+    return _scan_cost(n, B, S, A, {})[1]
+
+
+def _scan_cost(n: int, B: int, S: int, A: int, memo: dict):
+    """(cost, chunk length) of the cheapest scan of n sections by the cost
+    model, with the boundary pass priced recursively; memo holds the
+    boundary passes priced so far."""
+    if (n, A) not in memo:
+        c = np.r_[np.arange(2, n // 2 + 1), n]
+        K = n // c
+        r = n - K * c
+        split = K > 1
+        cost = (_LEVEL_S + (r > 0) * _REMAINDER_S
+                + (_LEVEL_ELEMENT_S + split * _SPLIT_ELEMENT_S) * n * S * A * B
+                + 2 * (c + r) * (_STEP_S[1] + _EDGE_S[1] * A)
+                + split * c * (_STEP_S[0] + _EDGE_S[0] * A
+                               + _TRANSFER_ELEMENT_S * S * S * A * B * K))
+        ks, which = np.unique(K, return_inverse=True)
+        cost += np.array([_scan_cost(int(k), B, S, S, memo)[0] if k > 1
+                          else 0.0 for k in ks])[which]
+        i = int(np.argmin(cost))
+        memo[n, A] = float(cost[i]), int(c[i])
+    return memo[n, A]
 
 
 def bcjr_forward_backward(trellis: TrellisSpec,
                           gamma: np.ndarray) -> DecoderWorkspace:
     """Run the alpha/beta recursions in the probability domain, as a
-    chunked scan whose chunk length the cost model picks from the shape."""
-    B, n, S, A = gamma.shape
-    return _forward_backward(trellis, gamma, _chunk_length(n, B, S, A))
+    chunked scan whose chunk lengths the cost model picks from the shape."""
+    return _forward_backward(trellis, gamma)
 
 
 def _forward_backward(trellis: TrellisSpec, gamma: np.ndarray,
-                      chunk: int) -> DecoderWorkspace:
-    """bcjr_forward_backward with a given chunk length (see _scan)."""
+                      *chunks: int) -> DecoderWorkspace:
+    """bcjr_forward_backward with the chunk lengths of the first levels of
+    the scan given (see _scan); the levels not given take the cost
+    model's."""
     B, n, S, A = gamma.shape
     weights = _section_weights(gamma)
-
     alpha = np.empty((B, n + 1, S))
     alpha[:, 0] = 0.0
     alpha[:, 0, 0] = 1.0
-    # weights by (destination state, incoming edge)
-    in_state, in_input = trellis.incoming()
-    _scan(weights, (in_state, in_input), alpha, in_state, chunk)
-
-    # the backward pass is the same scan in reversed time
     beta = np.empty((B, n + 1, S))
     beta[:, n] = 1.0
     if trellis.termination == "tail-to-zero":
         beta[:, n, 1:] = 0.0
-    _scan(weights[:, ::-1], np.indices((S, A)), beta[:, ::-1],
-          trellis.next_state, chunk)
-
+    _scan(weights, trellis.next_state, trellis.incoming(), alpha, beta,
+          chunks)
     return DecoderWorkspace(alpha=alpha, beta=beta, gamma=gamma,
                             weights=weights)
 
@@ -217,47 +244,71 @@ _TINY = np.finfo(np.float64).tiny
 _max_over_states = np.maximum.reduce
 
 
-def _scan(w, edges, out, src, chunk: int) -> None:
-    """Sum-product recursion over the time-ordered sections of w.
+def _scan(w, next_state, incoming, alpha, beta, chunks) -> None:
+    """Sum-product recursions over the sections of w, both directions.
 
-    Section l maps the state weights out[:, l] to
-        out[:, l+1][s] = sum_a out[:, l][src[s, a]] * g[:, l][s, a]
-    divided by its largest entry, where g[:, l][s, a] is
-    w[:, l][edges[0][s, a], edges[1][s, a]].  out[:, 0] holds the start;
-    the rest is written.
+    w[:, l][s, a] weighs the edge of section l from state s on input a to
+    next_state[s, a]; incoming = (in_state, in_input) lists the edges into
+    each state.  Forward, alpha[:, l+1][s] sums alpha[:, l][s0] * w over
+    the edges s0 -> s; backward, beta[:, l][s] sums beta[:, l+1][s'] * w
+    over the edges s -> s'.  Each boundary's vector is divided by its
+    largest entry.  alpha[:, 0] and beta[:, n] hold the ends; the rest is
+    written.
 
-    The first K = n // chunk chunks are scanned in three phases: (1) each
-    chunk's end-to-end transfer from every start state, vectorised over
-    chunks; (2) the same recursion over the chunk boundaries, on the dense
-    trellis whose edge from state a to state s weighs the transfer a -> s;
-    (3) the ordinary recursion inside every chunk from its true start
-    weights, vectorised over chunks.  The n mod chunk remaining sections
-    follow sequentially.  With chunk = n this is the plain per-section
-    recursion.  Work arrays are state-major, (S, ..., B, K), and each
-    section's slice of g is contiguous, so that numpy's inner loops run
-    over blocks and chunks rather than over the few states.
+    The first K = n // chunk sections form K chunks (chunk = chunks[0],
+    else the cost model's); the n mod chunk remaining ones follow.  beta
+    runs over the remainder first, one section per step, and alpha last,
+    so that both directions see the same chunks.  Then: (1) each chunk's
+    transfer T[s, s0], the weight of its paths from state s0 to state s,
+    is computed once, vectorised over chunks; (2) the boundary pass gives
+    alpha and beta at every chunk boundary, as this same scan one level
+    down (chunk lengths chunks[1:]), on the dense S-state trellis whose
+    section k has an edge s0 -> s of weight T_k[s, s0]: alpha crosses
+    chunk k by T_k and beta by its transpose; (3) the per-section
+    recursions inside every chunk from its true start (alpha) and end
+    (beta), vectorised over chunks.  With chunk = n this is the plain
+    per-section recursion.  Work arrays are state-major, (S, ..., B, K),
+    and each section's slice of the weights is contiguous, so that numpy's
+    inner loops run over blocks and chunks rather than over the few
+    states.
     """
     B, n, S, A = w.shape
     if not n:
         return
-    chunk = min(chunk, n)
+    chunk = min(chunks[0] if chunks else _chunk_length(n, B, S, A), n)
     K = n // chunk
     m = K * chunk
-    cur = out[:, 0].T[..., None]
-    g = _time_major(w[:, :m].reshape(B, K, chunk, S, A), edges)
+    in_state = incoming[0]
+    outgoing = np.indices((S, A))
+    if m < n:
+        _recurse(_time_major(w[:, None, m:], outgoing)[::-1],
+                 beta[:, m:n].transpose(1, 2, 0)[::-1, ..., None],
+                 beta[:, n].T[..., None], next_state)
+    chunked = w[:, :m].reshape(B, K, chunk, S, A)
+    g = _time_major(chunked, incoming)
     if K > 1:
-        trans = _chunk_transfers(g[..., :-1], src)
-        starts = np.empty((S, B, K))
-        starts[..., :1] = cur
-        _recurse(trans, starts.transpose(2, 0, 1)[1:, ..., None], cur,
-                 np.broadcast_to(np.arange(S), (S, S)))
-        cur = starts
-    _recurse(g, out[:, 1:m + 1].reshape(B, K, chunk, S, copy=False)
-             .transpose(2, 3, 0, 1), cur, src)
+        _scan(_chunk_transfers(g, in_state), *_dense_trellis(S),
+              alpha[:, :m + 1:chunk], beta[:, :m + 1:chunk], chunks[1:])
+    _recurse(g, alpha[:, 1:m + 1].reshape(B, K, chunk, S, copy=False)
+             .transpose(2, 3, 0, 1), alpha[:, :m:chunk].transpose(2, 0, 1),
+             in_state)
     del g
-    _recurse(_time_major(w[:, None, m:], edges),
-             out[:, m + 1:].transpose(1, 2, 0)[..., None],
-             out[:, m].T[..., None], src)
+    _recurse(_time_major(chunked, outgoing)[::-1],
+             beta[:, :m].reshape(B, K, chunk, S, copy=False)
+             .transpose(2, 3, 0, 1)[::-1],
+             beta[:, chunk:m + 1:chunk].transpose(2, 0, 1), next_state)
+    if m < n:
+        _recurse(_time_major(w[:, None, m:], incoming),
+                 alpha[:, m + 1:].transpose(1, 2, 0)[..., None],
+                 alpha[:, m].T[..., None], in_state)
+
+
+@lru_cache(maxsize=None)
+def _dense_trellis(S: int):
+    """(next_state, incoming) of the dense S-state trellis: an edge from
+    every state s0 to every state s, taken on input s."""
+    s0, s = np.indices((S, S))
+    return s, (s, s0)
 
 
 def _time_major(w, edges) -> np.ndarray:
@@ -272,9 +323,10 @@ def _time_major(w, edges) -> np.ndarray:
 
 
 def _chunk_transfers(g, src) -> np.ndarray:
-    """Phase 1: T[k, s, s0, b], the weight of the paths through chunk k of
-    block b that start in state s0 and end in state s, relative to the
-    heaviest of them, as a contiguous (K, S, S0, B, 1) array.
+    """Phase 1: the transfers of the K chunks of g (c, S, A, B, K), as the
+    weights (B, K, S0, S) of the dense trellis: entry [b, k, s0, s] is the
+    weight of the paths through chunk k of block b that start in state s0
+    and end in state s, relative to the heaviest of them.
 
     Each start state's row is divided by its own maximum at every step, so
     that a row cannot underflow because another row outweighs it; the log
@@ -295,11 +347,11 @@ def _chunk_transfers(g, src) -> np.ndarray:
     log_scale = np.log(divisors).sum(axis=0)
     log_scale -= log_scale.max(axis=0)
     trans *= np.exp(log_scale, out=log_scale)
-    return np.ascontiguousarray(trans.transpose(3, 0, 1, 2))[..., None]
+    return trans.transpose(2, 3, 1, 0)
 
 
 def _recurse(g, out, cur, src) -> None:
-    """Phases 2 and 3: the per-section recursion, in all K chunks at once.
+    """Phase 3: the per-section recursion, in all K chunks at once.
 
     g (c, S, A, B, K); cur (S, B, K) holds the chunk starts; out
     (c, S, B, K) receives each section's state weights, divided by their

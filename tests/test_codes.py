@@ -232,6 +232,63 @@ def test_encoders_accept_bits_of_any_dtype():
                 == codes.encode_lut(codes.build_4b6b(), v)).all()
 
 
+def encode_per_step(spec, bits, tail=True):
+    """The trellis encoder one step at a time from state 0, one block per
+    row, with the tail steps of a tail-to-zero code unless `tail` is
+    False: labels (B, n_total * outputs_per_step) and the states each
+    block ends in before its tail."""
+    rows, ends = [], []
+    for row in np.atleast_2d(bits):
+        s, labels = 0, []
+        for a in row:
+            labels.extend(spec.output_bits[s, a])
+            s = spec.next_state[s, a]
+        ends.append(s)
+        if tail and spec.termination == "tail-to-zero":
+            for a in spec.tail_table()[s]:
+                labels.extend(spec.output_bits[s, a])
+                s = spec.next_state[s, a]
+        rows.append(labels)
+    return np.array(rows, dtype=np.uint8), np.array(ends)
+
+
+TRELLIS_BUILDERS = [codes.build_outer_cc, codes.build_split_phase,
+                    codes.build_bmc]
+
+
+class TestChunkedEncoder:
+    """codes.encode runs the encoder as a scan in chunks (codes._run); it
+    must give the per-step encoder's labels bit for bit."""
+
+    @pytest.mark.parametrize("builder", TRELLIS_BUILDERS)
+    def test_any_chunk_matches_per_step(self, builder):
+        # chunk 1, chunks that leave a remainder, chunk = n and chunk > n
+        spec = builder()
+        rng = np.random.default_rng(40)
+        for n in (1, 2, 7, 16, 17, 50):
+            bits = rng.integers(0, 2, (3, n))
+            want, want_ends = encode_per_step(spec, bits, tail=False)
+            for chunk in (1, 3, 4, 7, n, n + 5):
+                out, ends = codes._run(spec, bits, chunk)
+                np.testing.assert_array_equal(out.reshape(3, -1), want)
+                np.testing.assert_array_equal(ends, want_ends)
+
+    @pytest.mark.parametrize("builder", TRELLIS_BUILDERS)
+    @pytest.mark.parametrize("shape", [(103,), (1, 1000), (5, 400), (8, 257),
+                                       (64, 37), (3, 1), (2, 0)])
+    def test_encode_matches_per_step(self, builder, shape):
+        """1-D input, long blocks whose length the chunk does not divide,
+        a wide, short batch (one chunk), one step and none; the outer
+        code adds its tail."""
+        spec = builder()
+        bits = np.random.default_rng(41).integers(0, 2, shape)
+        want, _ = encode_per_step(spec, bits)
+        got = codes.encode(spec, bits)
+        assert got.shape == (want[0].shape if len(shape) == 1
+                             else want.shape)
+        np.testing.assert_array_equal(np.atleast_2d(got), want)
+
+
 class TestPuncture:
 
     def test_matrix_semantics(self):

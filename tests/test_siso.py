@@ -271,9 +271,10 @@ def plain_decode(trellis, gamma):
             np.stack(llrs, axis=-1))
 
 
-def chunked_decode(trellis, gamma, chunk):
-    """Workspace and input/label APPs with a forced scan chunk length."""
-    ws = siso._forward_backward(trellis, gamma, chunk)
+def chunked_decode(trellis, gamma, chunk, *boundary_chunks):
+    """Workspace and input/label APPs with a forced scan chunk length (and
+    those of the first levels of the boundary pass)."""
+    ws = siso._forward_backward(trellis, gamma, chunk, *boundary_chunks)
     llr = siso._app_llrs(trellis, ws, bit_masks(trellis), "test metric")
     return ws, llr[..., 0], llr[..., 1:]
 
@@ -292,7 +293,7 @@ def outer_gamma(rng, B, n, prior_scale=1.5):
 
 
 CHUNK = 8
-SCAN_LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
+SCAN_LENGTHS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
                 2 * CHUNK + 1, 203)
 
 
@@ -309,13 +310,14 @@ def assert_same_decode(trellis, gamma, chunk):
     np.testing.assert_allclose(app_out, out1, atol=1e-9)
 
 
-def assert_matches_log_domain(trellis, gamma, chunk):
+def assert_matches_log_domain(trellis, gamma, chunk, *boundary_chunks):
     """The scan against the log-domain reference where metrics may exceed
     the range of a double: a state weight is 0 exactly where the
     reference's exponentiates to 0 (its -inf, or a loser by ~1e6), and
     the LLRs agree once clipped at +-LLR_CLAMP, the most a decoder
     downstream reads."""
-    ws, app_in, app_out = chunked_decode(trellis, gamma, chunk)
+    ws, app_in, app_out = chunked_decode(trellis, gamma, chunk,
+                                         *boundary_chunks)
     alpha, beta, _, llr = plain_decode(trellis, gamma)
     for got, log_want in ((ws.alpha, alpha), (ws.beta, beta)):
         # no reference weight near the underflow edge, where rounding
@@ -390,6 +392,61 @@ class TestChunkedScan:
                                outer_gamma(rng, 2, 203)):
             assert_states_conserved(
                 trellis, siso._forward_backward(trellis, gamma, CHUNK))
+
+    def test_boundary_pass_recurses(self, monkeypatch):
+        """Chunks of 2, then boundary chunks of 2 and 3: the boundary pass
+        runs the scan three levels below the sections (on 101, 50 and 16
+        chunk transfers), and alpha, beta and the LLRs still match the
+        log-domain reference."""
+        levels, scan = [], siso._scan
+
+        def spy(w, *args):
+            levels.append(w.shape[1])
+            return scan(w, *args)
+
+        monkeypatch.setattr(siso, "_scan", spy)
+        rng = np.random.default_rng(26)
+        for trellis, gamma in (split_phase_gamma(rng, 2, 203, 0.4),
+                               outer_gamma(rng, 2, 203)):
+            levels.clear()
+            assert_matches_log_domain(trellis, gamma, 2, 2, 3)
+            assert levels[:4] == [203, 101, 50, 16]
+
+    @pytest.mark.parametrize("code", ["split-phase", "outer"])
+    def test_backward_transfers_are_transposed(self, code):
+        """Across each chunk, the backward recursion from the unit vector
+        of end state s gives beta[s0] = the weight of the paths s0 -> s:
+        the transpose of the forward transfer phase 1 computes, which the
+        backward pass therefore reuses."""
+        rng = np.random.default_rng(27)
+        B, K, c = 2, 5, CHUNK
+        trellis, gamma = (split_phase_gamma(rng, B, K * c, 0.4)
+                          if code == "split-phase"
+                          else outer_gamma(rng, B, K * c))
+        S, A = trellis.num_states, 2
+        w = siso._section_weights(gamma)
+        incoming = trellis.incoming()
+        forward = siso._chunk_transfers(
+            siso._time_major(w.reshape(B, K, c, S, A), incoming),
+            incoming[0])
+        backward = np.empty((B, K, S, S))
+        for k, s in np.ndindex(K, S):
+            v = np.zeros((B, S))
+            v[:, s] = 1.0
+            for l in range(c * (k + 1) - 1, c * k - 1, -1):
+                v = (w[:, l] * v[:, trellis.next_state]).sum(axis=-1)
+            backward[:, k, :, s] = v
+        backward /= backward.max(axis=(2, 3), keepdims=True)
+        np.testing.assert_allclose(forward, backward, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_shortest_blocks(self, n):
+        rng = np.random.default_rng(32)
+        for trellis, gamma in (split_phase_gamma(rng, 2, n, 0.4),
+                               outer_gamma(rng, 2, n)):
+            ws = siso.bcjr_forward_backward(trellis, gamma)
+            assert ws.alpha.shape == (2, n + 1, trellis.num_states)
+            assert_matches_log_domain(trellis, gamma, 1)
 
     def test_chunking_follows_the_call_shape(self):
         # long desk-sized blocks are split; wide short EXIT calls are not
