@@ -2,7 +2,8 @@
 
 All encoders here are deterministic finite-state machines (or memoryless
 maps) operating on {0,1} bit arrays.  Specs are immutable after
-construction and safe to share across workers.
+construction (their arrays are read-only), so each builder returns one
+cached instance, safe to share across workers.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class TrellisSpec:
 
     def __post_init__(self):
         S = self.num_states
-        ns = np.asarray(self.next_state, dtype=np.int64)
-        ob = np.asarray(self.output_bits, dtype=np.uint8)
+        ns = np.array(self.next_state, dtype=np.int64)
+        ob = np.array(self.output_bits, dtype=np.uint8)
         if ns.shape != (S, 2):
             raise ValueError(f"next_state shape {ns.shape}, expected {(S, 2)}")
         if ob.shape != (S, 2, self.outputs_per_step):
@@ -52,8 +53,9 @@ class TrellisSpec:
             raise ValueError("output labels must be bits")
         if self.termination not in ("none", "tail-to-zero"):
             raise ValueError(f"unknown termination {self.termination!r}")
-        object.__setattr__(self, "next_state", ns)
-        object.__setattr__(self, "output_bits", ob)
+        for name, arr in (("next_state", ns), ("output_bits", ob)):
+            arr.flags.writeable = False         # specs are shared
+            object.__setattr__(self, name, arr)
 
     @property
     def memory(self) -> int:
@@ -180,6 +182,7 @@ def _run(spec: TrellisSpec, bits: np.ndarray, chunk: int):
     return out, state
 
 
+@lru_cache(maxsize=1)
 def build_outer_cc() -> TrellisSpec:
     """Memory-2 recursive systematic rate-1/2 code, generator [1, 5/7] octal.
 
@@ -201,6 +204,7 @@ def build_outer_cc() -> TrellisSpec:
                        termination="tail-to-zero")
 
 
+@lru_cache(maxsize=1)
 def build_split_phase() -> TrellisSpec:
     """Two-state differential bi-phase code, rate 1/2.
 
@@ -216,6 +220,7 @@ def build_split_phase() -> TrellisSpec:
                        outputs_per_step=2, next_state=ns, output_bits=ob)
 
 
+@lru_cache(maxsize=1)
 def build_bmc() -> TrellisSpec:
     """Bi-phase mark code on its two-state last-level trellis, rate 1/2.
 
@@ -245,7 +250,7 @@ class LutCodeSpec:
     table: np.ndarray           # (2^input_width, output_width) uint8
 
     def __post_init__(self):
-        tab = np.asarray(self.table, dtype=np.uint8)
+        tab = np.array(self.table, dtype=np.uint8)
         if tab.shape != (1 << self.input_width, self.output_width):
             raise ValueError("table shape mismatch")
         packed = {tuple(row) for row in tab}
@@ -254,6 +259,7 @@ class LutCodeSpec:
         if (tab.sum(axis=1) != self.output_width // 2).any():
             raise ValueError("codewords are not balanced "
                              "(constant-weight check failed)")
+        tab.flags.writeable = False             # specs are shared
         object.__setattr__(self, "table", tab)
 
 
@@ -282,10 +288,8 @@ def parse_lut_table(text: str, input_width: int = 4,
 @lru_cache(maxsize=1)
 def build_manchester() -> LutCodeSpec:
     """Memoryless map 0 -> 01, 1 -> 10 (rate 1/2, balanced pairs)."""
-    spec = LutCodeSpec(name="manchester", input_width=1, output_width=2,
+    return LutCodeSpec(name="manchester", input_width=1, output_width=2,
                        table=[[0, 1], [1, 0]])
-    spec.table.flags.writeable = False      # one instance is shared
-    return spec
 
 
 @lru_cache(maxsize=1)
@@ -293,10 +297,8 @@ def build_4b6b() -> LutCodeSpec:
     """IEEE 802.15.7 4B6B substitution table (each 6-bit word has weight
     3), read once from the packaged data/4b6b.txt."""
     path = Path(__file__).parent / "data" / "4b6b.txt"
-    spec = LutCodeSpec(name="4b6b", input_width=4, output_width=6,
+    return LutCodeSpec(name="4b6b", input_width=4, output_width=6,
                        table=parse_lut_table(path.read_text()))
-    spec.table.flags.writeable = False      # one instance is shared
-    return spec
 
 
 def encode_lut(spec: LutCodeSpec, v: np.ndarray) -> np.ndarray:

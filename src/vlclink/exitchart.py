@@ -220,6 +220,8 @@ def find_threshold(chain: pipeline.ChainConfig,
     """
     if resolution_db <= 0:
         raise ValueError("resolution must be positive")
+    if lo_db >= hi_db:
+        raise ValueError(f"lo_db={lo_db} must lie below hi_db={hi_db}")
 
     gaps = {}
 

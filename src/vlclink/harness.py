@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -247,12 +248,14 @@ BER_COLUMNS = [f.name for f in fields(BerRecord)]
 
 
 def _wilson_ci(errors: int, n: int) -> tuple[float, float]:
+    """95 % Wilson interval on errors / n; lo = 0 at no errors, hi = 1 at n."""
     z = 1.959963984540054
     phat = errors / n
     denom = 1 + z * z / n
     centre = (phat + z * z / (2 * n)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    return (max(0.0, centre - half) if errors else 0.0,
+            min(1.0, centre + half) if errors < n else 1.0)
 
 
 def decode_blocks(chain: pipeline.ChainConfig, sigma2: float, seed: int,

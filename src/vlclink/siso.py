@@ -15,11 +15,12 @@ exact.
 The BCJR runs in the probability domain: each section's log metrics are
 shifted by their maximum and exponentiated once, the forward and backward
 recursions only multiply and add, and every step divides its state vector
-by its largest entry.  Both recursions run as one chunked scan (_scan):
-each chunk's transfer matrix is computed once per call, alpha crosses a
-chunk by it and beta by its transpose, and the pass over the chunk
-boundaries is the same scan one level down, on the dense trellis of the
-transfers.  Numerical contract:
+by its largest entry.  Both recursions run as one chunked scan (_scan),
+which copies the weights once per level, time-major in the trellis's own
+edge order: each chunk's transfer matrix is computed once per call, alpha
+crosses a chunk by it and beta by its transpose, and the pass over the
+chunk boundaries is the same scan one level down, on the dense trellis of
+the transfers.  Numerical contract:
 
 1. Exact: as long as no state weight underflows (falls below ~1e-308 of
    the largest in its vector), the LLRs equal those of the log-domain
@@ -51,7 +52,6 @@ LLR_CLAMP = 50.0
 # so small against the other that their ratio overflows (|L| > 709.7).
 # Every LLR the ratio expresses stays below it.
 LLR_SAT = 750.0
-_NEG = -np.inf
 
 
 def clamp_llr(x: np.ndarray) -> np.ndarray:
@@ -256,21 +256,22 @@ def _scan(w, next_state, incoming, alpha, beta, chunks) -> None:
     written.
 
     The first K = n // chunk sections form K chunks (chunk = chunks[0],
-    else the cost model's); the n mod chunk remaining ones follow.  beta
-    runs over the remainder first, one section per step, and alpha last,
-    so that both directions see the same chunks.  Then: (1) each chunk's
-    transfer T[s, s0], the weight of its paths from state s0 to state s,
-    is computed once, vectorised over chunks; (2) the boundary pass gives
-    alpha and beta at every chunk boundary, as this same scan one level
-    down (chunk lengths chunks[1:]), on the dense S-state trellis whose
-    section k has an edge s0 -> s of weight T_k[s, s0]: alpha crosses
-    chunk k by T_k and beta by its transpose; (3) the per-section
-    recursions inside every chunk from its true start (alpha) and end
-    (beta), vectorised over chunks.  With chunk = n this is the plain
-    per-section recursion.  Work arrays are state-major, (S, ..., B, K),
-    and each section's slice of the weights is contiguous, so that numpy's
-    inner loops run over blocks and chunks rather than over the few
-    states.
+    else the cost model's); the n mod chunk remaining ones follow.  Each
+    part is copied once, time-major in w's own edge order, for all phases.
+    beta runs over the remainder first, one section per step, and alpha
+    last, so that both directions see the same chunks.  Then: (1) each
+    chunk's transfer T[s, s0], the weight of its paths from state s0 to
+    state s, is computed once, vectorised over chunks; (2) the boundary
+    pass gives alpha and beta at every chunk boundary, as this same scan
+    one level down (chunk lengths chunks[1:]), on the dense S-state
+    trellis whose section k has an edge s0 -> s of weight T_k[s, s0]:
+    alpha crosses chunk k by T_k and beta by its transpose; (3) the
+    per-section recursions inside every chunk from its true start (alpha)
+    and end (beta), vectorised over chunks.  With chunk = n this is the
+    plain per-section recursion.  Work arrays are state-major,
+    (S, ..., B, K), and each section's slice of the copy is contiguous, so
+    that numpy's inner loops run over blocks and chunks rather than over
+    the few states.
     """
     B, n, S, A = w.shape
     if not n:
@@ -278,29 +279,23 @@ def _scan(w, next_state, incoming, alpha, beta, chunks) -> None:
     chunk = min(chunks[0] if chunks else _chunk_length(n, B, S, A), n)
     K = n // chunk
     m = K * chunk
-    in_state = incoming[0]
-    outgoing = np.indices((S, A))
+    g = _time_major(w[:, :m].reshape(B, K, chunk, S, A))
     if m < n:
-        _recurse(_time_major(w[:, None, m:], outgoing)[::-1],
-                 beta[:, m:n].transpose(1, 2, 0)[::-1, ..., None],
+        rest = _time_major(w[:, None, m:])
+        _recurse(rest[::-1], beta[:, m:n].transpose(1, 2, 0)[::-1, ..., None],
                  beta[:, n].T[..., None], next_state)
-    chunked = w[:, :m].reshape(B, K, chunk, S, A)
-    g = _time_major(chunked, incoming)
     if K > 1:
-        _scan(_chunk_transfers(g, in_state), *_dense_trellis(S),
+        _scan(_chunk_transfers(g, incoming), *_dense_trellis(S),
               alpha[:, :m + 1:chunk], beta[:, :m + 1:chunk], chunks[1:])
     _recurse(g, alpha[:, 1:m + 1].reshape(B, K, chunk, S, copy=False)
              .transpose(2, 3, 0, 1), alpha[:, :m:chunk].transpose(2, 0, 1),
-             in_state)
-    del g
-    _recurse(_time_major(chunked, outgoing)[::-1],
-             beta[:, :m].reshape(B, K, chunk, S, copy=False)
+             incoming)
+    _recurse(g[::-1], beta[:, :m].reshape(B, K, chunk, S, copy=False)
              .transpose(2, 3, 0, 1)[::-1],
              beta[:, chunk:m + 1:chunk].transpose(2, 0, 1), next_state)
     if m < n:
-        _recurse(_time_major(w[:, None, m:], incoming),
-                 alpha[:, m + 1:].transpose(1, 2, 0)[..., None],
-                 alpha[:, m].T[..., None], in_state)
+        _recurse(rest, alpha[:, m + 1:].transpose(1, 2, 0)[..., None],
+                 alpha[:, m].T[..., None], incoming)
 
 
 @lru_cache(maxsize=None)
@@ -311,22 +306,17 @@ def _dense_trellis(S: int):
     return s, (s, s0)
 
 
-def _time_major(w, edges) -> np.ndarray:
-    """w (B, K, c, S, A) as a contiguous (c, S, A, B, K) array, with the
-    (S, A) axes gathered by edges."""
-    B, K, c, S, A = w.shape
-    g = np.empty((c, S, A, B, K))
-    wt = w.transpose(2, 3, 4, 0, 1)
-    for s, a in np.ndindex(S, A):
-        g[:, s, a] = wt[:, edges[0][s, a], edges[1][s, a]]
-    return g
+def _time_major(w) -> np.ndarray:
+    """w (B, K, c, S, A) as a contiguous (c, S, A, B, K) array."""
+    return w.transpose(2, 3, 4, 0, 1).copy()
 
 
-def _chunk_transfers(g, src) -> np.ndarray:
+def _chunk_transfers(g, incoming) -> np.ndarray:
     """Phase 1: the transfers of the K chunks of g (c, S, A, B, K), as the
     weights (B, K, S0, S) of the dense trellis: entry [b, k, s0, s] is the
     weight of the paths through chunk k of block b that start in state s0
-    and end in state s, relative to the heaviest of them.
+    and end in state s, relative to the heaviest of them.  A step is
+    alpha's (see _recurse), for every start state at once.
 
     Each start state's row is divided by its own maximum at every step, so
     that a row cannot underflow because another row outweighs it; the log
@@ -337,8 +327,7 @@ def _chunk_transfers(g, src) -> np.ndarray:
     trans[np.arange(S), np.arange(S)] = 1.0
     divisors = np.empty((c, S, B, K))
     for t in range(c):
-        cand = trans[src]
-        cand *= g[t][:, :, None]
+        cand = (trans[:, None] * g[t][:, :, None])[incoming]
         trans = cand[:, 0]
         for a in range(1, A):
             trans = trans + cand[:, a]
@@ -350,18 +339,24 @@ def _chunk_transfers(g, src) -> np.ndarray:
     return trans.transpose(2, 3, 1, 0)
 
 
-def _recurse(g, out, cur, src) -> None:
+def _recurse(g, out, cur, edges) -> None:
     """Phase 3: the per-section recursion, in all K chunks at once.
 
     g (c, S, A, B, K); cur (S, B, K) holds the chunk starts; out
     (c, S, B, K) receives each section's state weights, divided by their
-    largest entry.  src (S, A) is the state input a of state s comes from.
-    The steps write a contiguous buffer, copied to out at the end.
+    largest entry.  edges is next_state for beta, whose step weighs edge
+    (s, a) by the state it enters and sums the edges out of s, or incoming
+    for alpha, whose step weighs each edge by the state it leaves, gathers
+    the products by incoming and sums the edges into each state.  The
+    steps write a contiguous buffer, copied to out at the end.
     """
     buf = np.empty(out.shape)
     for t in range(g.shape[0]):
-        cand = cur[src]
-        cand *= g[t]
+        if isinstance(edges, tuple):
+            cand = (cur[:, None] * g[t])[edges]
+        else:
+            cand = cur[edges]
+            cand *= g[t]
         cur = buf[t]
         np.add(cand[:, 0], cand[:, 1], out=cur)
         for a in range(2, cand.shape[1]):
@@ -439,8 +434,6 @@ def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior=None,
     return app_in - clamp_llr(prior)
 
 
-
-
 # ---------------------------------------------------------------------------
 # Memoryless symbol-MAP decoders
 # ---------------------------------------------------------------------------
@@ -470,7 +463,7 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     total = e[..., 0].copy()
     for i in range(1, x.shape[-1]):
         total += e[..., i]
-    out = np.full(total.shape, _NEG)
+    out = np.full(total.shape, -np.inf)
     np.log(total, out=out, where=total > 0)
     out += m
     return out

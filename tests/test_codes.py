@@ -29,6 +29,27 @@ def lut():
     return codes.build_4b6b()
 
 
+@pytest.mark.parametrize("builder", [
+    codes.build_outer_cc, codes.build_split_phase, codes.build_bmc,
+    codes.build_manchester, codes.build_4b6b])
+def test_builders_share_one_read_only_spec(builder):
+    spec = builder()
+    assert builder() is spec
+    arrays = ([spec.table] if isinstance(spec, codes.LutCodeSpec)
+              else [spec.next_state, spec.output_bits])
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_spec_copies_its_arrays():
+    ns = np.array([[0, 1], [1, 0]])
+    spec = codes.TrellisSpec(name="t", num_states=2, outputs_per_step=1,
+                             next_state=ns, output_bits=ns[..., None])
+    ns[0, 0] = 1
+    assert spec.next_state[0, 0] == 0 and ns.flags.writeable
+
+
 def encode_manchester(v):
     return codes.encode_lut(codes.build_manchester(), v)
 

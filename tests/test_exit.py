@@ -222,6 +222,19 @@ class TestThreshold:
                               resolution_db=0.25, samples=2000, seed=10)
             assert len(measured) == len(set(measured))
 
+    @pytest.mark.parametrize("lo, hi", [(5.0, 5.0), (6.5, 3.0)])
+    def test_inverted_bracket_rejected(self, monkeypatch, lo, hi):
+        chain = make_chain("cc-split-phase", 64)
+        outer = ex.outer_curve(chain.outer, chain.puncture, samples=2000,
+                               seed=10)
+        measured = []
+        monkeypatch.setattr(ex, "inner_curve",
+                            lambda *args, **kwargs: measured.append(kwargs))
+        with pytest.raises(ValueError, match=f"lo_db={lo} .* hi_db={hi}"):
+            ex.find_threshold(chain, outer, lo_db=lo, hi_db=hi,
+                              samples=2000, seed=10)
+        assert not measured
+
 
 class TestTrajectory:
 

@@ -258,6 +258,23 @@ class TestSimulatePoint:
             harness.simulate_point(chain, 6.0, 0, 1, **counts)
 
 
+class TestWilsonInterval:
+
+    Z = 1.959963984540054
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 4800, 10 ** 9])
+    def test_bounds(self, n):
+        for errors in sorted({0, 1, n // 2, n - 1, n}):
+            lo, hi = harness._wilson_ci(errors, n)
+            assert type(lo) is float and type(hi) is float
+            assert 0.0 <= lo <= errors / n <= hi <= 1.0
+            assert (lo == 0.0) == (errors == 0)
+            assert (hi == 1.0) == (errors == n)
+        # no errors: the upper bound is the root z^2 / (n + z^2)
+        assert harness._wilson_ci(0, n)[1] == pytest.approx(
+            self.Z ** 2 / (n + self.Z ** 2), rel=1e-12)
+
+
 class TestThreshold:
 
     def test_shared_outer_curve_measured_once(self, monkeypatch):

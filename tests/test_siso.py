@@ -412,6 +412,28 @@ class TestChunkedScan:
             assert_matches_log_domain(trellis, gamma, 2, 2, 3)
             assert levels[:4] == [203, 101, 50, 16]
 
+    def test_one_copy_per_level(self, monkeypatch):
+        """Each level of the scan copies its chunks once, time-major in
+        the weights' own edge order, and its remainder once: 203 sections
+        in chunks of 8 (25 chunks and 3 left over), their 25 transfers in
+        chunks of 4 (6 and 1), then those 6 in one chunk."""
+        copies, time_major = [], siso._time_major
+
+        def spy(w):
+            copies.append(w.shape)
+            return time_major(w)
+
+        monkeypatch.setattr(siso, "_time_major", spy)
+        rng = np.random.default_rng(29)
+        for trellis, gamma in (split_phase_gamma(rng, 2, 203, 0.4),
+                               outer_gamma(rng, 2, 203)):
+            copies.clear()
+            assert_matches_log_domain(trellis, gamma, 8, 4, 6)
+            S, A = trellis.num_states, 2
+            assert copies == [(2, 25, 8, S, A), (2, 1, 3, S, A),
+                              (2, 6, 4, S, S), (2, 1, 1, S, S),
+                              (2, 1, 6, S, S)]
+
     @pytest.mark.parametrize("code", ["split-phase", "outer"])
     def test_backward_transfers_are_transposed(self, code):
         """Across each chunk, the backward recursion from the unit vector
@@ -425,10 +447,8 @@ class TestChunkedScan:
                           else outer_gamma(rng, B, K * c))
         S, A = trellis.num_states, 2
         w = siso._section_weights(gamma)
-        incoming = trellis.incoming()
         forward = siso._chunk_transfers(
-            siso._time_major(w.reshape(B, K, c, S, A), incoming),
-            incoming[0])
+            siso._time_major(w.reshape(B, K, c, S, A)), trellis.incoming())
         backward = np.empty((B, K, S, S))
         for k, s in np.ndindex(K, S):
             v = np.zeros((B, S))
