@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Halfway between OFF and ON: the observation whose channel LLR is 0.
+OOK_MIDPOINT = 0.5
+
 
 def ook_modulate(bits: np.ndarray) -> np.ndarray:
     """Bit 1 -> amplitude 1.0 (LED on), bit 0 -> amplitude 0.0."""

@@ -54,7 +54,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = _resolve(args)
-    except (harness.ConfigError, FileNotFoundError) as exc:
+        chain = harness.chain_from_config(cfg)
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -80,7 +81,6 @@ def main(argv=None) -> int:
             print(f"error: --blocks must be >= 1, got {args.blocks}",
                   file=sys.stderr)
             return 2
-        chain = harness.chain_from_config(cfg)
         rng = np.random.default_rng(cfg["seed"])
         u = rng.integers(0, 2, size=(args.blocks, chain.k_user))
         tx = pipeline.encode_chain(u, chain)["tx"]

@@ -1,10 +1,10 @@
 """Dimming control: puncture line-coded bits and insert compensation bits.
 
-The line codes feeding this stage emit balanced bit-pairs, so puncturing
-whole pairs removes exactly half ones and half zeros; inserting p
-compensation bits (all 1s for d > 0.5, all 0s for d < 0.5) then lands the
-transmitted ones fraction on the target d exactly (up to the even-p
-rounding, <= 1/N).  Frame length is preserved (unit rate).
+Each output pair of split-phase and Manchester holds one 1 (make_chain
+dims no other line code), so puncturing whole pairs removes exactly half
+ones and half zeros; inserting p compensation bits (all 1s for d > 0.5,
+all 0s for d < 0.5) then lands the transmitted ones fraction on d exactly
+(up to the even-p rounding, <= 1/N).  Frame length is preserved.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import OOK_MIDPOINT
 from .codes import FramingError
 
 
@@ -85,16 +86,12 @@ def dim_encode(c: np.ndarray, cfg: DimmingConfig) -> np.ndarray:
 
 
 def dim_decode(y: np.ndarray, cfg: DimmingConfig) -> np.ndarray:
-    """Drop observations of compensation bits; re-insert neutral (zero
-    evidence) observations at punctured positions.
-
-    Under the OOK correlation metric an observation of 0 scores both bit
-    hypotheses equally, so zeros act as erasures.
-    """
+    """Drop compensation-bit observations; write OOK_MIDPOINT, whose
+    channel LLR is 0, at punctured positions (erasures)."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape[-1] != cfg.frame_len:
         raise FramingError(f"frame length {y.shape[-1]}, expected "
                            f"{cfg.frame_len}")
-    out = np.zeros(y.shape, dtype=np.float64)
+    out = np.full(y.shape, OOK_MIDPOINT)
     out[..., cfg.kept_positions] = y[..., cfg.data_slots]
     return out

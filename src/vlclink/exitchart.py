@@ -121,6 +121,13 @@ class ExitCurve:
 _INNER_BLOCK = 256      # input bits per independent inner-curve block
 
 
+def _block_count(samples, block: int) -> int:
+    """Blocks of `block` bits that hold at least `samples` bits."""
+    if not samples >= 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    return int(np.ceil(samples / block))
+
+
 def inner_curve(inner: str, sigma2: float, grid=None, samples: int = 100_000,
                 seed: int = 0, ebn0_db: float | None = None) -> ExitCurve:
     """Measured transfer curve of one inner line-code SISO decoder.
@@ -132,7 +139,7 @@ def inner_curve(inner: str, sigma2: float, grid=None, samples: int = 100_000,
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, np.float64)
     code = pipeline.INNER_CODES[inner]
     n0 = _INNER_BLOCK
-    nblocks = max(1, int(np.ceil(samples / n0)))
+    nblocks = _block_count(samples, n0)
     rngs = [np.random.default_rng([seed, gi]) for gi in range(len(grid))]
     vs = np.stack([rng.integers(0, 2, size=(nblocks, n0)).astype(np.uint8)
                    for rng in rngs])
@@ -166,7 +173,7 @@ def outer_curve(outer: codes.TrellisSpec, puncture: codes.PuncturePattern,
     steps += -steps % puncture.period
     k0 = steps - outer.memory
     n_kept = int(puncture.mask(steps * outer.outputs_per_step).sum())
-    nblocks = max(1, int(np.ceil(samples / n_kept)))
+    nblocks = _block_count(samples, n_kept)
     rngs = [np.random.default_rng([seed, 7, gi]) for gi in range(len(grid))]
     u = np.concatenate([rng.integers(0, 2, size=(nblocks, k0)).astype(
         np.uint8) for rng in rngs])

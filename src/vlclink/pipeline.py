@@ -10,6 +10,7 @@ from the outer a-posteriori LLRs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -172,6 +173,11 @@ SCHEMES = {
 }
 
 
+# Every 4-bit word once, MSB first: an input that any inner code frames and
+# that meets every 4B6B codeword.
+_PROBE = (np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1).ravel()
+
+
 def make_chain(scheme: str, k: int, iterations: int = 30,
                genie_stopping: bool = True, d: float | None = None,
                interleaver_seed: int = 1) -> ChainConfig:
@@ -181,19 +187,25 @@ def make_chain(scheme: str, k: int, iterations: int = 30,
     outer step count is divisible by the puncture period, the interleaver
     length is a multiple of the inner code's quantum and the line frame
     has even length (whole pairs for dimming); padding is stripped before
-    error counting.
+    error counting.  Only a line code whose every output pair is 01 or 10
+    can be dimmed (d != 0.5): that is what puncturing whole pairs needs.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from "
                          f"{', '.join(SCHEMES)}")
-    if k < 1 or iterations < 1:
-        raise ValueError(f"k and iterations must be >= 1, got {k} and "
-                         f"{iterations}")
+    for name, count in (("k", k), ("iterations", iterations)):
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"{name} must be >= 1 and integral, got "
+                             f"{count!r}")
     inner, punct, d_default = SCHEMES[scheme]
     d = d_default if d is None else d
 
     outer = codes.build_outer_cc()
     code = INNER_CODES[inner]
+    if d != 0.5 and (code.encode(_PROBE).reshape(-1, 2).sum(-1) != 1).any():
+        raise ValueError(f"scheme {scheme!r} cannot be dimmed to d={d}: the "
+                         f"{inner} line code sends pairs other than 01 and "
+                         f"10, so puncturing whole pairs misses d")
     k_pad = k
     while True:
         steps = k_pad + outer.memory

@@ -1,10 +1,10 @@
 """Soft-in/soft-out decoders.
 
-Exact MAP BCJR over any TrellisSpec, with either the on-off-keying channel
-transition metric (inner line-code decoders) or a pure a-priori LLR metric
-(outer FEC decoder, which has no channel port).  Memoryless block codes
-(Manchester, 4B6B) get direct per-symbol MAP marginalization.  Both inner
-decoders score OOK observations with one metric, _ook_metric.
+Exact MAP BCJR over any TrellisSpec, with the on-off-keying channel metric
+(inner line codes) or a pure a-priori LLR metric (outer FEC decoder, which
+has no channel port); memoryless block codes (Manchester, 4B6B) get direct
+per-symbol MAP.  Every OOK observation is scored by _ook_metric, the exact
+Gaussian log-likelihood, under which OOK_MIDPOINT is an erasure.
 
 All decoders are batched: leading axis = independent blocks.  LLR sign
 convention is L = ln P(bit=1)/P(bit=0).  Priors are clamped to +-LLR_CLAMP
@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import check_sigma2
+from .channel import OOK_MIDPOINT, check_sigma2
 from .codes import LutCodeSpec, TrellisSpec
 
 LLR_CLAMP = 50.0
@@ -71,14 +71,14 @@ def _ook_metric(ys: np.ndarray, labels: np.ndarray,
                 sigma2: float) -> np.ndarray:
     """OOK channel log-likelihood of each candidate label, shape (B, n, L).
 
-    ys (B, n, w) observes n labels of w bits; labels (L, w) are the
-    candidates.  (1/2 sigma^2) * sum_j (2 y_j c_j - y_j^2) over the bits
-    c_j of a label, computed as y.c/sigma^2 - |y|^2/(2 sigma^2) without a
-    (B, n, L, w) temporary.
+    ys (B, n, w) observes n labels of w bits; labels (L, w) are the 0/1
+    candidates.  sum_j c_j (y_j - 1/2) / sigma^2 is the Gaussian
+    -|y - c|^2 / (2 sigma^2) up to a term equal for every label, so it is
+    exact for any label weight and 0 for all labels at y = OOK_MIDPOINT.
     """
-    g = (ys / sigma2) @ labels.astype(np.float64).T
-    g -= np.einsum("bnj,bnj->bn", ys, ys)[..., None] / (2.0 * sigma2)
-    return g
+    g = ys - OOK_MIDPOINT
+    g /= sigma2
+    return g @ labels.astype(np.float64).T
 
 
 def gamma_table_ook(trellis: TrellisSpec, y: np.ndarray, prior: np.ndarray,

@@ -17,15 +17,16 @@ from vlclink import codes, siso
 def gamma_ook(y, label_bits, input_bit, prior, sigma2) -> float:
     """Log transition metric for OOK observations of one trellis section.
 
-    input_bit * prior + (1/2 sigma^2) * sum_j (2 y_j c_j - y_j^2) over the
-    bits c_j of the transition's output label; the prior is clamped to
-    +-siso.LLR_CLAMP as the decoders clamp it.
+    input_bit * prior - sum_j (y_j - c_j)^2 / (2 sigma^2) over the bits c_j
+    of the transition's output label (the Gaussian log-likelihood up to a
+    constant); the prior is clamped to +-siso.LLR_CLAMP as the decoders
+    clamp it.
     """
     if not (np.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     y = np.asarray(y, dtype=np.float64)
     c = np.asarray(label_bits, dtype=np.float64)
-    ch = float(np.sum(2.0 * y * c - y * y)) / (2.0 * sigma2)
+    ch = -float(np.sum((y - c) ** 2)) / (2.0 * sigma2)
     return float(input_bit) * float(np.clip(prior, -siso.LLR_CLAMP,
                                             siso.LLR_CLAMP)) + ch
 
@@ -47,10 +48,11 @@ def all_bit_vectors(n):
 
 
 def ook_path_metric(c_bits, y, sigma2):
-    """Sum of the OOK correlation metric over one whole coded sequence."""
+    """Gaussian log-likelihood of one whole coded sequence, up to a
+    constant: -sum (y - c)^2 / (2 sigma^2)."""
     c = np.asarray(c_bits, dtype=float)
     y = np.asarray(y, dtype=float)
-    return float(np.sum(2.0 * y * c - y * y)) / (2.0 * sigma2)
+    return -float(np.sum((y - c) ** 2)) / (2.0 * sigma2)
 
 
 def _marginalize(inputs, metrics, prior=None):
@@ -65,13 +67,19 @@ def _marginalize(inputs, metrics, prior=None):
     return out
 
 
-def exhaustive_inner_extrinsic(trellis, y, prior, sigma2):
-    """Extrinsic LLRs of a line-code block by enumerating all inputs."""
+def exhaustive_inner_extrinsic(trellis, y, prior, sigma2, observed=None):
+    """Extrinsic LLRs of a line-code block by enumerating all inputs.
+
+    observed: the line-bit positions that y observes, in order (all of
+    them if None); the others enter no metric.
+    """
     n = len(prior)
     inputs = all_bit_vectors(n)
     coded = codes.encode(trellis, inputs).astype(float)
+    if observed is not None:
+        coded = coded[:, observed]
     y = np.asarray(y, dtype=float)
-    metrics = ((2.0 * y * coded - y * y).sum(axis=1) / (2.0 * sigma2)
+    metrics = (-((y - coded) ** 2).sum(axis=1) / (2.0 * sigma2)
                + inputs @ np.asarray(prior, dtype=float))
     return _marginalize(inputs, metrics, prior)
 
@@ -101,7 +109,7 @@ def exhaustive_lut_extrinsic(spec, y, prior, sigma2):
     for s in range(nsym):
         ys = np.asarray(y[s * ow:(s + 1) * ow], dtype=float)
         ps = np.asarray(prior[s * iw:(s + 1) * iw], dtype=float)
-        metrics = ((2.0 * ys * table - ys * ys).sum(axis=1) / (2.0 * sigma2)
+        metrics = (-((ys - table) ** 2).sum(axis=1) / (2.0 * sigma2)
                    + inputs @ ps)
         out[s * iw:(s + 1) * iw] = _marginalize(inputs, metrics, ps)
     return out

@@ -4,6 +4,7 @@ import pytest
 from vlclink import codes
 from vlclink.codes import FramingError
 from vlclink.dimming import dim_decode, dim_encode, plan_dimming
+from vlclink.siso import bcjr_extrinsic
 
 import oracles
 
@@ -70,29 +71,28 @@ def test_decode_restores_surviving_positions():
     y = dim_encode(c, cfg).astype(float)
     back = dim_decode(y, cfg)
     assert (back[cfg.kept_positions] == c[cfg.kept_positions]).all()
-    assert (back[cfg.puncture_positions] == 0).all()
+    assert (back[cfg.puncture_positions] == 0.5).all()
 
 
 def test_neutral_reinsertion_equals_shortened_decode():
-    """Decoding with zeroed punctured observations equals marginalizing the
-    punctured bits out entirely (checked on an 8-bit exhaustive oracle)."""
-    sp = codes.build_split_phase()
-    rng = np.random.default_rng(2)
+    """Decoding with 1/2 at the punctured positions equals an
+    exhaustive decode whose metric leaves those positions out entirely,
+    for equal-weight (split-phase) and unequal-weight (BMC) labels."""
     n = 8
     sigma2 = 0.5
-    v = rng.integers(0, 2, n)
-    c = codes.encode(sp, v)
     cfg = plan_dimming(2 * n, 0.625)   # punctures one pair
-    y_tx = dim_encode(c, cfg) + rng.normal(0, np.sqrt(sigma2), 2 * n)
-    y = dim_decode(y_tx, cfg)
-    prior = rng.normal(0, 1, n)
-    from vlclink.siso import bcjr_extrinsic
-    got = bcjr_extrinsic(sp, observations=y, prior=prior, sigma2=sigma2)[0]
-    want = oracles.exhaustive_inner_extrinsic(sp, y, prior, sigma2)
-    np.testing.assert_allclose(got, want, atol=1e-9)
-    # punctured pair contributes zero channel evidence: replacing those two
-    # observations by any other zeros leaves the result unchanged
-    assert (y[cfg.puncture_positions] == 0).all()
+    for trellis in (codes.build_split_phase(), codes.build_bmc()):
+        rng = np.random.default_rng(2)
+        c = codes.encode(trellis, rng.integers(0, 2, n))
+        y_tx = dim_encode(c, cfg) + rng.normal(0, np.sqrt(sigma2), 2 * n)
+        y = dim_decode(y_tx, cfg)
+        prior = rng.normal(0, 1, n)
+        got = bcjr_extrinsic(trellis, observations=y, prior=prior,
+                             sigma2=sigma2)[0]
+        want = oracles.exhaustive_inner_extrinsic(
+            trellis, y[cfg.kept_positions], prior, sigma2,
+            observed=cfg.kept_positions)
+        np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 def test_run_length_bound_with_insertions():

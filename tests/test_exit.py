@@ -178,6 +178,14 @@ class TestOneEncoderCall:
                            samples=300)
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("samples", [0, -10, float("nan")])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ex.inner_curve("split-phase", 0.3, samples=samples)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ex.outer_curve(build_outer_cc(), RATE_23_PUNCTURE,
+                           samples=samples)
+
 
 class TestThreshold:
 

@@ -304,7 +304,9 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         for command, text, name in (("ber", "voltage = 5\n", "voltage"),
-                                    ("metrics", "d = abc\n", "'d'")):
+                                    ("metrics", "d = abc\n", "'d'"),
+                                    ("ber", "scheme = cc-bmc\nd = 0.6\n",
+                                     "'cc-bmc' cannot be dimmed to d=0.6")):
             p.write_text(text)
             assert cli.main([command, "--config", str(p)]) == 2
             assert name in capsys.readouterr().err

@@ -96,6 +96,30 @@ class TestChainConfig:
         with pytest.raises(ValueError, match="must be >= 1"):
             make_chain("cc-split-phase", k=k, iterations=iterations)
 
+    @pytest.mark.parametrize("k, iterations, name", [
+        (64.5, 30, "k"), (64.0, 30, "k"), (64, 2.5, "iterations")])
+    def test_counts_not_integral_rejected(self, k, iterations, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1 and "
+                                             "integral"):
+            make_chain("cc-split-phase", k=k, iterations=iterations)
+
+    @pytest.mark.parametrize("scheme", ["cc-bmc", "cc-4b6b"])
+    def test_unbalanced_pairs_not_dimmed(self, scheme):
+        """BMC sends 00 and 11, and 4B6B balances six bits, not each pair,
+        so puncturing whole pairs cannot land on d."""
+        make_chain(scheme, k=64)
+        for d in (0.6, 0.4):
+            with pytest.raises(ValueError,
+                               match=f"'{scheme}' cannot be dimmed to d={d}"):
+                make_chain(scheme, k=64, d=d)
+
+    @pytest.mark.parametrize("scheme", ["cc-split-phase", "cc-manchester"])
+    def test_balanced_pairs_hit_dimming_target(self, scheme):
+        cfg = make_chain(scheme, k=512, d=0.6)
+        u = np.random.default_rng(5).integers(0, 2, (20, 512))
+        tx = pipeline.encode_chain(u, cfg)["tx"]
+        assert (np.abs(tx.mean(axis=-1) - 0.6) <= 1 / cfg.n_line).all()
+
     def test_padding_is_minimal(self):
         """k_pad is the smallest k' >= k that frames, by rules written out
         here: the rate-1/2 memory-2 outer code adds 2 tail steps; the

@@ -14,8 +14,10 @@ from oracles import gamma_llr, gamma_ook
 class TestGammaOok:
 
     def test_direct_substitution(self):
-        assert gamma_ook(1.0, [1], 0, 0.0, 0.5) == pytest.approx(1.0)
+        assert gamma_ook(1.0, [1], 0, 0.0, 0.5) == 0.0
         assert gamma_ook(1.0, [0], 0, 0.0, 0.5) == pytest.approx(-1.0)
+        assert gamma_ook([0.2, 0.9], [1, 1], 1, 3.0, 0.5) == pytest.approx(
+            3.0 - 0.65)
 
     def test_prior_term_vanishes_for_zero_input(self):
         a = gamma_ook(0.3, [1], 0, 7.5, 1.0)
@@ -29,15 +31,22 @@ class TestGammaOok:
     @pytest.mark.parametrize("builder", [codes.build_split_phase,
                                          codes.build_bmc])
     def test_table_matches_scalar_metric(self, builder):
+        """Equal up to one constant per section: the table leaves out
+        -|y|^2 / (2 sigma^2), which is the same for every transition."""
         trellis = builder()
         rng = np.random.default_rng(26)
         y = rng.normal(0.5, 1.0, (2, 10))
         prior = rng.normal(0, 3, (2, 5))
         g = gamma_table_ook(trellis, y, prior, 0.7)
+        want = np.empty_like(g)
         for b, l, s, a in np.ndindex(g.shape):
-            want = gamma_ook(y[b, 2 * l:2 * l + 2],
-                             trellis.output_bits[s, a], a, prior[b, l], 0.7)
-            assert g[b, l, s, a] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            want[b, l, s, a] = gamma_ook(y[b, 2 * l:2 * l + 2],
+                                         trellis.output_bits[s, a], a,
+                                         prior[b, l], 0.7)
+        diff = g - want
+        np.testing.assert_allclose(
+            diff, np.broadcast_to(diff[..., :1, :1], diff.shape),
+            rtol=0, atol=1e-12)
 
 
 class TestGammaLlr:
@@ -83,6 +92,24 @@ class TestBcjrAgainstOracle:
                                                       sigma2)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
+    def test_bmc_long_block(self):
+        """A 4 x 400 BMC block at sigma^2 = 0.3 against the log-domain
+        recursion on the oracle's Gaussian metric: BMC labels weigh 0, 1
+        or 2, so a metric exact only for one label weight fails here."""
+        bmc = codes.build_bmc()
+        rng = np.random.default_rng(32)
+        v = rng.integers(0, 2, (4, 400))
+        y = codes.encode(bmc, v) + rng.normal(0, np.sqrt(0.3), (4, 800))
+        prior = rng.normal(0, 2, (4, 400))
+        gamma = np.empty((4, 400, 2, 2))
+        for b, l, s, a in np.ndindex(gamma.shape):
+            gamma[b, l, s, a] = gamma_ook(y[b, 2 * l:2 * l + 2],
+                                          bmc.output_bits[s, a], a,
+                                          prior[b, l], 0.3)
+        want = plain_decode(bmc, gamma)[3][..., 0] - clamp_llr(prior)
+        got = bcjr_extrinsic(bmc, observations=y, prior=prior, sigma2=0.3)
+        np.testing.assert_allclose(got, want, atol=1e-9)
+
     def test_outer_cc_six_bit_blocks(self):
         cc = codes.build_outer_cc()
         rng = np.random.default_rng(12)
@@ -109,10 +136,11 @@ class TestBcjrProperties:
         assert ((le > 0).astype(int) == v).all()
 
     def test_no_evidence_gives_zero(self):
-        sp = codes.build_split_phase()
-        le = bcjr_extrinsic(sp, observations=np.zeros(16),
-                            prior=np.zeros(8), sigma2=0.7)[0]
-        np.testing.assert_allclose(le, 0.0, atol=1e-12)
+        for trellis in (codes.build_split_phase(), codes.build_bmc()):
+            le = bcjr_extrinsic(trellis,
+                                observations=np.full(16, 0.5),
+                                prior=np.zeros(8), sigma2=0.7)[0]
+            np.testing.assert_allclose(le, 0.0, atol=1e-12)
 
     def test_zero_length(self):
         sp = codes.build_split_phase()
@@ -510,20 +538,32 @@ class TestNumericalContract:
         np.testing.assert_array_equal(le, np.where(v == 1, siso.LLR_SAT,
                                                    -siso.LLR_SAT))
 
-    def test_collapse_raises(self):
-        """BMC at sigma^2 = 1e-6 on noisy codewords: the truncated OOK
-        metric puts forward and backward weights about 1000 nats apart,
-        beyond a double, so the product across a section is 0 for every
-        state."""
+    def test_noisy_codewords_saturate(self):
+        """BMC at sigma^2 = 1e-6 on noisy codewords: flipping any input bit
+        changes at least one label bit, which costs about 5e5 nats, so
+        every LLR saturates with the sign of the sent bit."""
         bmc = codes.build_bmc()
         rng = np.random.default_rng(31)
         v = rng.integers(0, 2, (2, 203))
         y = codes.encode(bmc, v) + rng.normal(0, 1e-3, (2, 406))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            le = bcjr_extrinsic(bmc, observations=y, sigma2=1e-6)
+        np.testing.assert_array_equal(le, np.where(v == 1, siso.LLR_SAT,
+                                                   -siso.LLR_SAT))
+
+    def test_collapse_raises(self):
+        """All-ones BMC at sigma^2 = 1e-6: no codeword sends 11 twice in a
+        row, so every path pays about 5e5 nats against the observation at
+        every other section, and the weights across a section underflow
+        for every state."""
+        bmc = codes.build_bmc()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match=r"bmc BCJR .* sigma2=1e-06.* underflowed"):
-                bcjr_extrinsic(bmc, observations=y, sigma2=1e-6)
+                bcjr_extrinsic(bmc, observations=np.ones((2, 406)),
+                               sigma2=1e-6)
 
 
 class TestLogSumExp:

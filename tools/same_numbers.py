@@ -1,6 +1,7 @@
 """Print, as JSON, the numbers a refactor of vlclink must leave unchanged.
 
-    python tools/same_numbers.py > after.json
+    python tools/same_numbers.py [--save after.npz] > after.json
+    python tools/same_numbers.py --compare before.npz after.npz
 
 Run it on two checkouts and diff the outputs: a change that claims the
 same numbers must print the same file.  It records
@@ -13,12 +14,18 @@ same numbers must print the same file.  It records
   and of bcjr_extrinsic, bcjr_decode and map_lut outputs, on fixed
   random inputs at long, medium, wide and short shapes.
 
+A digest tells only that an output changed.  --save also keeps those
+decoder outputs in an .npz file, and --compare reads two such files and
+prints, per output, "identical" or the largest absolute difference, which
+tells rounding (about 1e-15) from a changed metric.
+
 The source tree imported is the one next to this script.  It takes well
 under a minute on a 2-core 2.0 GHz Xeon VM.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -79,7 +86,9 @@ def thresholds() -> dict:
             for scheme, res in harness.run_threshold(cfg).items()}
 
 
-def decoder_digests() -> dict:
+def decoder_outputs() -> dict:
+    """Decoder outputs on fixed random inputs, "<code> <B>x<n> <what>" ->
+    array."""
     rng = np.random.default_rng(2024)
     out = {}
     for trellis in (codes.build_split_phase(), codes.build_bmc()):
@@ -89,33 +98,64 @@ def decoder_digests() -> dict:
             prior = rng.normal(0, 2.0, (B, n))
             gamma = siso.gamma_table_ook(trellis, y, prior, 0.36)
             ws = siso.bcjr_forward_backward(trellis, gamma)
-            ext = siso.bcjr_extrinsic(trellis, observations=y, prior=prior,
-                                      sigma2=0.36)
-            out[f"{trellis.name} {B}x{n}"] = [
-                _digest(ws.alpha), _digest(ws.beta), _digest(ext)]
+            key = f"{trellis.name} {B}x{n}"
+            out[f"{key} alpha"], out[f"{key} beta"] = ws.alpha, ws.beta
+            out[f"{key} extrinsic"] = siso.bcjr_extrinsic(
+                trellis, observations=y, prior=prior, sigma2=0.36)
     cc = codes.build_outer_cc()
     for B, n in OUTER_SHAPES:
         gamma = siso.gamma_table_llr(cc, rng.normal(0, 1.5, (B, n, 2)))
         ws = siso.bcjr_forward_backward(cc, gamma)
         res = siso.bcjr_decode(cc, gamma)
-        out[f"{cc.name} {B}x{n}"] = [
-            _digest(ws.alpha), _digest(ws.beta), _digest(res.app_input),
-            _digest(res.app_output)]
+        key = f"{cc.name} {B}x{n}"
+        out[f"{key} alpha"], out[f"{key} beta"] = ws.alpha, ws.beta
+        out[f"{key} app_input"] = res.app_input
+        out[f"{key} app_output"] = res.app_output
     for spec in (codes.build_4b6b(), codes.build_manchester()):
         for B, nsym in LUT_SHAPES:
             bits = rng.integers(0, 2, (B, nsym * spec.input_width))
             y = (codes.encode_lut(spec, bits)
                  + rng.normal(0, 0.6, (B, nsym * spec.output_width)))
             prior = rng.normal(0, 2.0, bits.shape)
-            out[f"{spec.name} {B}x{nsym}"] = _digest(
-                siso.map_lut(spec, y, prior, sigma2=0.36))
+            out[f"{spec.name} {B}x{nsym} extrinsic"] = siso.map_lut(
+                spec, y, prior, sigma2=0.36)
     return out
 
 
+def compare(before: str, after: str) -> None:
+    """Print each saved output's largest absolute difference."""
+    with np.load(before) as a, np.load(after) as b:
+        for name in sorted(set(a.files) | set(b.files)):
+            if name not in a.files or name not in b.files:
+                only = before if name in a.files else after
+                print(f"{name}: only in {only}")
+            elif a[name].shape != b[name].shape:
+                print(f"{name}: shape {a[name].shape} -> {b[name].shape}")
+            elif np.array_equal(a[name], b[name]):
+                print(f"{name}: identical")
+            else:
+                print(f"{name}: max |delta| = "
+                      f"{np.max(np.abs(a[name] - b[name])):.3g}")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="NPZ",
+                        help="also keep the decoder outputs in this file")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two saved runs and exit")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    outputs = decoder_outputs()
+    if args.save:
+        np.savez(args.save, **outputs)
     json.dump({"simulate_point": ber_records(),
                "run_threshold": thresholds(),
-               "decoders": decoder_digests()}, sys.stdout, indent=1)
+               "decoders": {name: _digest(x)
+                            for name, x in outputs.items()}},
+              sys.stdout, indent=1)
     print()
 
 
