@@ -2,6 +2,7 @@
 
     python tools/same_numbers.py [--save after.npz] > after.json
     python tools/same_numbers.py --compare before.npz after.npz
+    python tools/same_numbers.py --fixture tests/data/same_numbers.json
 
 Run it on two checkouts and diff the outputs: a change that claims the
 same numbers must print the same file.  It records
@@ -18,6 +19,10 @@ A digest tells only that an output changed.  --save also keeps those
 decoder outputs in an .npz file, and --compare reads two such files and
 prints, per output, "identical" or the largest absolute difference, which
 tells rounding (about 1e-15) from a changed metric.
+
+--fixture writes the simulate_point records and run_threshold results,
+without the decoder digests, to the file tests/test_same_numbers.py
+checks; a change that alters those numbers on purpose rewrites it.
 
 The source tree imported is the one next to this script.  It takes well
 under a minute on a 2-core 2.0 GHz Xeon VM.
@@ -86,6 +91,12 @@ def thresholds() -> dict:
             for scheme, res in harness.run_threshold(cfg).items()}
 
 
+def fixture() -> dict:
+    """The records and thresholds, the part of the JSON a Tier-1 test
+    keeps."""
+    return {"simulate_point": ber_records(), "run_threshold": thresholds()}
+
+
 def decoder_outputs() -> dict:
     """Decoder outputs on fixed random inputs, "<code> <B>x<n> <what>" ->
     array."""
@@ -144,15 +155,22 @@ def main() -> None:
                         help="also keep the decoder outputs in this file")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two saved runs and exit")
+    parser.add_argument("--fixture", metavar="JSON",
+                        help="write the records and thresholds only to this "
+                             "file and exit")
     args = parser.parse_args()
     if args.compare:
         compare(*args.compare)
         return
+    if args.fixture:
+        with open(args.fixture, "w") as f:
+            json.dump(fixture(), f, indent=1)
+            f.write("\n")
+        return
     outputs = decoder_outputs()
     if args.save:
         np.savez(args.save, **outputs)
-    json.dump({"simulate_point": ber_records(),
-               "run_threshold": thresholds(),
+    json.dump({**fixture(),
                "decoders": {name: _digest(x)
                             for name, x in outputs.items()}},
               sys.stdout, indent=1)
