@@ -83,23 +83,6 @@ class TrellisSpec:
                                  f"in {m} steps")
         return table
 
-    def incoming(self) -> tuple[np.ndarray, np.ndarray]:
-        """(prev_state, input) pairs feeding each state, shape (S, 2) each.
-
-        Requires the trellis to be regular (every state has exactly two
-        incoming transitions), which holds for all codes built here.
-        """
-        S = self.num_states
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(S)]
-        for s in range(S):
-            for a in range(2):
-                buckets[self.next_state[s, a]].append((s, a))
-        if any(len(b) != 2 for b in buckets):
-            raise ValueError(f"trellis {self.name} is not regular")
-        in_state = np.array([[p[0] for p in b] for b in buckets])
-        in_input = np.array([[p[1] for p in b] for b in buckets])
-        return in_state, in_input
-
 
 def as_bits(x, what: str = "encoder input") -> np.ndarray:
     """x as an int64 array; ValueError naming `what` unless every entry

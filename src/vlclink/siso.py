@@ -3,8 +3,8 @@
 Exact MAP BCJR over any TrellisSpec, with the on-off-keying channel metric
 (inner line codes) or a pure a-priori LLR metric (outer FEC decoder, which
 has no channel port); memoryless block codes (Manchester, 4B6B) get direct
-per-symbol MAP.  Every OOK observation is scored by _ook_metric, the exact
-Gaussian log-likelihood, under which OOK_MIDPOINT is an erasure.
+per-symbol MAP.  Every OOK observation is scored through _ook_metric, the
+exact Gaussian log-likelihood, under which OOK_MIDPOINT is an erasure.
 
 All decoders are batched: leading axis = independent blocks.  LLR sign
 convention is L = ln P(bit=1)/P(bit=0).  Priors are clamped to +-LLR_CLAMP
@@ -15,12 +15,18 @@ exact.
 The BCJR runs in the probability domain: each section's log metrics are
 shifted by their maximum and exponentiated once, the forward and backward
 recursions only multiply and add, and every step divides its state vector
-by its largest entry.  Both recursions run as one chunked scan (_scan),
-which copies the weights once per level, time-major in the trellis's own
-edge order: each chunk's transfer matrix is computed once per call, alpha
-crosses a chunk by it and beta by its transpose, and the pass over the
-chunk boundaries is the same scan one level down, on the dense trellis of
-the transfers.  Numerical contract:
+by its largest entry.  The metric tables are stored edge-major,
+(S, A, B, n), and the weights list each state's edges in destination
+order: every trellis the scan accepts (_edge_order) then has its j-th edge
+out of state s enter state j*(S/A) + s//A, so the edges into a state are
+one slice of the edge products, and an alpha step sums slices with no
+gather (_into_states); beta gathers its state vector by the reordered
+next_state.  alpha and beta are stored state-major, (S, B, n+1).  Both
+recursions run as one chunked scan (_scan), which copies the weights once
+per level, time-major: each chunk's transfer matrix is computed once per
+call, alpha crosses a chunk by it and beta by its transpose, and the pass
+over the chunk boundaries is the same scan one level down, on the dense
+trellis of the transfers.  Numerical contract:
 
 1. Exact: as long as no state weight underflows (falls below ~1e-308 of
    the largest in its vector), the LLRs equal those of the log-domain
@@ -67,24 +73,26 @@ def _check_finite(name, x):
 # Transition metrics
 # ---------------------------------------------------------------------------
 
-def _ook_metric(ys: np.ndarray, labels: np.ndarray,
-                sigma2: float) -> np.ndarray:
-    """OOK channel log-likelihood of each candidate label, shape (B, n, L).
+def _ook_metric(ys: np.ndarray, sigma2: float) -> np.ndarray:
+    """OOK channel metric of a 1 at each observed label bit, (y - 1/2) /
+    sigma^2, shaped like ys.
 
-    ys (B, n, w) observes n labels of w bits; labels (L, w) are the 0/1
-    candidates.  sum_j c_j (y_j - 1/2) / sigma^2 is the Gaussian
-    -|y - c|^2 / (2 sigma^2) up to a term equal for every label, so it is
-    exact for any label weight and 0 for all labels at y = OOK_MIDPOINT.
+    A 0/1 label c scores sum_j c_j (y_j - 1/2) / sigma^2, the product of
+    this with c, which each caller takes in the layout it reads.  That is
+    the Gaussian -|y - c|^2 / (2 sigma^2) up to a term equal for every
+    label, so it is exact for any label weight and 0 for all labels at
+    y = OOK_MIDPOINT.
     """
     g = ys - OOK_MIDPOINT
     g /= sigma2
-    return g @ labels.astype(np.float64).T
+    return g
 
 
 def gamma_table_ook(trellis: TrellisSpec, y: np.ndarray, prior: np.ndarray,
                     sigma2: float) -> np.ndarray:
     """Vectorized OOK metric table, shape (B, n_sections, S, A): the OOK
-    metric of each transition's output label plus input_bit * prior."""
+    metric of each transition's output label plus input_bit * prior.
+    Stored edge-major, (S, A, B, n_sections), as the BCJR reads it."""
     check_sigma2(sigma2)
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     prior = np.atleast_2d(np.asarray(prior, dtype=np.float64))
@@ -96,16 +104,17 @@ def gamma_table_ook(trellis: TrellisSpec, y: np.ndarray, prior: np.ndarray,
     if y.shape[-1] != n * n_out or prior.shape[-1] != n:
         raise ValueError("observation/prior lengths inconsistent with trellis")
     S, A, _ = trellis.output_bits.shape
-    g = _ook_metric(y.reshape(B, n, n_out),
-                    trellis.output_bits.reshape(S * A, n_out), sigma2)
-    g = g.reshape(B, n, S, A)
-    g[..., 1] += clamp_llr(prior)[..., None]
-    return g
+    labels = trellis.output_bits.reshape(S * A, n_out).astype(np.float64)
+    g = (labels @ _ook_metric(y, sigma2).reshape(B * n, n_out).T
+         ).reshape(S, A, B, n)
+    g[:, 1] += clamp_llr(prior)
+    return g.transpose(2, 3, 0, 1)
 
 
 def gamma_table_llr(trellis: TrellisSpec,
                     code_prior: np.ndarray) -> np.ndarray:
-    """Vectorized a-priori-only metric table, shape (B, n_sections, S, A).
+    """Vectorized a-priori-only metric table, shape (B, n_sections, S, A),
+    stored edge-major like gamma_table_ook's.
 
     code_prior: (B, n_sections, outputs_per_step) LLRs on the label bits.
     """
@@ -113,7 +122,8 @@ def gamma_table_llr(trellis: TrellisSpec,
     _check_finite("code prior", cp)
     S, A, j = trellis.output_bits.shape
     c = trellis.output_bits.reshape(S * A, j).astype(np.float64)
-    return (cp.reshape(-1, j) @ c.T).reshape(*cp.shape[:2], S, A)
+    return (c @ cp.reshape(-1, j).T).reshape(S, A, *cp.shape[:2]
+                                            ).transpose(2, 3, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +135,14 @@ class DecoderWorkspace:
     """State and transition weights of one decode pass (probability domain).
 
     weights[:, l] = exp(gamma[:, l] - max gamma[:, l]): the transition
-    weights of section l, largest 1.  alpha[:, l] and beta[:, l] are the
+    weights of section l, largest 1, with each state's edges in destination
+    order: weights[:, l, s, j] weighs the edge of state s on input
+    _edge_order(trellis)[0][s, j], which enters state
+    _edge_order(trellis)[1][s, j].  alpha[:, l] and beta[:, l] are the
     forward and backward state weights at section boundary l, each divided
-    by its largest entry.  gamma is the log-domain table the pass was given.
+    by its largest entry.  gamma is the log-domain table the pass was given,
+    in input order.  alpha, beta and weights are views of state-major
+    storage, (S, B, n+1) and (S, A, B, n).
     """
 
     alpha: np.ndarray           # (B, n+1, S)
@@ -208,30 +223,72 @@ def _forward_backward(trellis: TrellisSpec, gamma: np.ndarray,
     the scan given (see _scan); the levels not given take the cost
     model's."""
     B, n, S, A = gamma.shape
-    weights = _section_weights(gamma)
-    alpha = np.empty((B, n + 1, S))
+    order, dest = _edge_order(trellis)
+    weights = _section_weights(gamma, order)
+    alpha = np.empty((S, B, n + 1)).transpose(1, 2, 0)
     alpha[:, 0] = 0.0
     alpha[:, 0, 0] = 1.0
-    beta = np.empty((B, n + 1, S))
+    beta = np.empty((S, B, n + 1)).transpose(1, 2, 0)
     beta[:, n] = 1.0
     if trellis.termination == "tail-to-zero":
         beta[:, n, 1:] = 0.0
-    _scan(weights, trellis.next_state, trellis.incoming(), alpha, beta,
-          chunks)
+    _scan(weights, dest, alpha, beta, chunks)
     return DecoderWorkspace(alpha=alpha, beta=beta, gamma=gamma,
                             weights=weights)
 
 
-def _section_weights(gamma: np.ndarray) -> np.ndarray:
-    """exp(gamma - the maximum of its section), (B, n, S, A), stored
-    transition-major, (S, A, B, n), for the posteriors' sums."""
+@lru_cache(maxsize=64)
+def _edge_order(trellis: TrellisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(order, dest) of the trellis, computed once: see
+    _destination_order."""
+    return _destination_order(trellis.name, trellis.next_state)
+
+
+def _destination_order(name: str, next_state) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """(order, dest), each (S, A): order[s] lists the inputs of state s by
+    the state they enter, and dest[s, j] = next_state[s, order[s, j]].
+
+    The scan needs dest[s, j] = j*(S/A) + s//A, so that the edges into
+    state j*(S/A) + q are those of the states q*A .. q*A + A-1 at position
+    j.  Every shift-register code packed with its newest register bit on
+    top has that form, and so has the dense trellis; a next_state that
+    cannot be put in it raises ValueError naming the trellis.
+    """
+    next_state = np.asarray(next_state)
+    S, A = next_state.shape
+    order = np.argsort(next_state, axis=1, kind="stable")
+    dest = np.take_along_axis(next_state, order, axis=1)
+    if S % A or not np.array_equal(
+            dest, np.arange(A) * (S // A) + np.arange(S)[:, None] // A):
+        raise ValueError(
+            f"trellis {name}: next_state {next_state.tolist()} cannot be "
+            "ordered so that state s's j-th edge enters state "
+            "j*(S/A) + s//A, as the BCJR scan requires")
+    for x in (order, dest):
+        x.flags.writeable = False
+    return order, dest
+
+
+def _section_weights(gamma: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """exp(gamma - the maximum of its section), (B, n, S, A), with state
+    s's edges taken in order[s] (see _destination_order), stored
+    edge-major, (S, A, B, n): each edge is a contiguous (B, n) block, read
+    from an edge-major table and written in one pass.
+
+    A section maximum that is not finite (a NaN or +inf in the section, or
+    every edge at -inf) raises ValueError naming the metric table.
+    """
     B, n, S, A = gamma.shape
     top = gamma[..., 0, 0].copy()
     for s, a in np.ndindex(S, A):
         np.maximum(top, gamma[..., s, a], out=top)
+    if not np.isfinite(top).all():
+        raise ValueError("metric table: a section holds a NaN or +inf, or "
+                         "-inf on every edge")
     weights = np.empty((S, A, B, n))
-    for s, a in np.ndindex(S, A):
-        np.subtract(gamma[..., s, a], top, out=weights[s, a])
+    for s, j in np.ndindex(S, A):
+        np.subtract(gamma[..., s, order[s, j]], top, out=weights[s, j])
     np.exp(weights, out=weights)
     return weights.transpose(2, 3, 0, 1)
 
@@ -244,20 +301,20 @@ _TINY = np.finfo(np.float64).tiny
 _max_over_states = np.maximum.reduce
 
 
-def _scan(w, next_state, incoming, alpha, beta, chunks) -> None:
+def _scan(w, next_state, alpha, beta, chunks) -> None:
     """Sum-product recursions over the sections of w, both directions.
 
-    w[:, l][s, a] weighs the edge of section l from state s on input a to
-    next_state[s, a]; incoming = (in_state, in_input) lists the edges into
-    each state.  Forward, alpha[:, l+1][s] sums alpha[:, l][s0] * w over
-    the edges s0 -> s; backward, beta[:, l][s] sums beta[:, l+1][s'] * w
-    over the edges s -> s'.  Each boundary's vector is divided by its
-    largest entry.  alpha[:, 0] and beta[:, n] hold the ends; the rest is
-    written.
+    w[:, l][s, j] weighs the edge of section l from state s to
+    next_state[s, j], which is j*(S/A) + s//A (destination order, see
+    _destination_order).  Forward, alpha[:, l+1][s] sums
+    alpha[:, l][s0] * w over the edges s0 -> s; backward, beta[:, l][s]
+    sums beta[:, l+1][s'] * w over the edges s -> s'.  Each boundary's
+    vector is divided by its largest entry.  alpha[:, 0] and beta[:, n]
+    hold the ends; the rest is written.
 
     The first K = n // chunk sections form K chunks (chunk = chunks[0],
     else the cost model's); the n mod chunk remaining ones follow.  Each
-    part is copied once, time-major in w's own edge order, for all phases.
+    part is copied once, time-major, for all phases.
     beta runs over the remainder first, one section per step, and alpha
     last, so that both directions see the same chunks.  Then: (1) each
     chunk's transfer T[s, s0], the weight of its paths from state s0 to
@@ -271,7 +328,8 @@ def _scan(w, next_state, incoming, alpha, beta, chunks) -> None:
     plain per-section recursion.  Work arrays are state-major,
     (S, ..., B, K), and each section's slice of the copy is contiguous, so
     that numpy's inner loops run over blocks and chunks rather than over
-    the few states.
+    the few states; with alpha and beta stored state-major too, each
+    phase-3 result is copied out row by row.
     """
     B, n, S, A = w.shape
     if not n:
@@ -285,25 +343,23 @@ def _scan(w, next_state, incoming, alpha, beta, chunks) -> None:
         _recurse(rest[::-1], beta[:, m:n].transpose(1, 2, 0)[::-1, ..., None],
                  beta[:, n].T[..., None], next_state)
     if K > 1:
-        _scan(_chunk_transfers(g, incoming), *_dense_trellis(S),
+        _scan(_chunk_transfers(g), _dense_trellis(S),
               alpha[:, :m + 1:chunk], beta[:, :m + 1:chunk], chunks[1:])
     _recurse(g, alpha[:, 1:m + 1].reshape(B, K, chunk, S, copy=False)
-             .transpose(2, 3, 0, 1), alpha[:, :m:chunk].transpose(2, 0, 1),
-             incoming)
+             .transpose(2, 3, 0, 1), alpha[:, :m:chunk].transpose(2, 0, 1))
     _recurse(g[::-1], beta[:, :m].reshape(B, K, chunk, S, copy=False)
              .transpose(2, 3, 0, 1)[::-1],
              beta[:, chunk:m + 1:chunk].transpose(2, 0, 1), next_state)
     if m < n:
         _recurse(rest, alpha[:, m + 1:].transpose(1, 2, 0)[..., None],
-                 alpha[:, m].T[..., None], incoming)
+                 alpha[:, m].T[..., None])
 
 
 @lru_cache(maxsize=None)
-def _dense_trellis(S: int):
-    """(next_state, incoming) of the dense S-state trellis: an edge from
-    every state s0 to every state s, taken on input s."""
-    s0, s = np.indices((S, S))
-    return s, (s, s0)
+def _dense_trellis(S: int) -> np.ndarray:
+    """next_state of the dense S-state trellis: an edge from every state
+    to every state s, taken on input s, so already in destination order."""
+    return np.indices((S, S))[1]
 
 
 def _time_major(w) -> np.ndarray:
@@ -311,7 +367,7 @@ def _time_major(w) -> np.ndarray:
     return w.transpose(2, 3, 4, 0, 1).copy()
 
 
-def _chunk_transfers(g, incoming) -> np.ndarray:
+def _chunk_transfers(g) -> np.ndarray:
     """Phase 1: the transfers of the K chunks of g (c, S, A, B, K), as the
     weights (B, K, S0, S) of the dense trellis: entry [b, k, s0, s] is the
     weight of the paths through chunk k of block b that start in state s0
@@ -327,10 +383,9 @@ def _chunk_transfers(g, incoming) -> np.ndarray:
     trans[np.arange(S), np.arange(S)] = 1.0
     divisors = np.empty((c, S, B, K))
     for t in range(c):
-        cand = (trans[:, None] * g[t][:, :, None])[incoming]
-        trans = cand[:, 0]
-        for a in range(1, A):
-            trans = trans + cand[:, a]
+        prod = trans[:, None] * g[t][:, :, None]
+        trans = np.empty(trans.shape)
+        _into_states(prod, trans)
         _max_over_states(trans, axis=0, out=divisors[t], initial=_TINY)
         trans /= divisors[t]
     log_scale = np.log(divisors).sum(axis=0)
@@ -339,29 +394,46 @@ def _chunk_transfers(g, incoming) -> np.ndarray:
     return trans.transpose(2, 3, 1, 0)
 
 
-def _recurse(g, out, cur, edges) -> None:
+def _into_states(prod, out) -> None:
+    """out[s] = the sum of the edge products prod (S, A, ...), in
+    destination order, over the edges into state s.
+
+    The edges into state j*(S/A) + q are edge j of states q*A + i, so
+    prod read as (S/A, i, j, ...) is summed over i, in ascending source
+    state, straight into out read as (S/A, j, ...).
+    """
+    S, A = prod.shape[:2]
+    into = prod.reshape(S // A, A, A, *prod.shape[2:])
+    dst = out.reshape(A, S // A, *out.shape[1:]).swapaxes(0, 1)
+    np.add(into[:, 0], into[:, 1], out=dst)
+    for i in range(2, A):
+        dst += into[:, i]
+
+
+def _recurse(g, out, cur, next_state=None) -> None:
     """Phase 3: the per-section recursion, in all K chunks at once.
 
-    g (c, S, A, B, K); cur (S, B, K) holds the chunk starts; out
-    (c, S, B, K) receives each section's state weights, divided by their
-    largest entry.  edges is next_state for beta, whose step weighs edge
-    (s, a) by the state it enters and sums the edges out of s, or incoming
-    for alpha, whose step weighs each edge by the state it leaves, gathers
-    the products by incoming and sums the edges into each state.  The
-    steps write a contiguous buffer, copied to out at the end.
+    g (c, S, A, B, K), in destination order; cur (S, B, K) holds the chunk
+    starts; out (c, S, B, K) receives each section's state weights,
+    divided by their largest entry.  With next_state (beta), a step weighs
+    edge (s, j) by the state it enters and sums the edges out of s;
+    without (alpha), it weighs each edge by the state it leaves and sums
+    the edges into each state (_into_states).  The steps write a
+    contiguous buffer, copied to out at the end.
     """
     buf = np.empty(out.shape)
     for t in range(g.shape[0]):
-        if isinstance(edges, tuple):
-            cand = (cur[:, None] * g[t])[edges]
+        nxt = buf[t]
+        if next_state is None:
+            _into_states(cur[:, None] * g[t], nxt)
         else:
-            cand = cur[edges]
+            cand = cur[next_state]
             cand *= g[t]
-        cur = buf[t]
-        np.add(cand[:, 0], cand[:, 1], out=cur)
-        for a in range(2, cand.shape[1]):
-            cur += cand[:, a]
-        cur /= _max_over_states(cur, axis=0, initial=_TINY)
+            np.add(cand[:, 0], cand[:, 1], out=nxt)
+            for j in range(2, cand.shape[1]):
+                nxt += cand[:, j]
+        nxt /= _max_over_states(nxt, axis=0, initial=_TINY)
+        cur = nxt
     out[...] = buf
 
 
@@ -382,12 +454,14 @@ def _app_llrs(trellis: TrellisSpec, ws: DecoderWorkspace, masks,
     trellis and `metric`.
     """
     B, n, S = ws.alpha[:, 1:].shape
-    # transition-major (S, A, B, n), like weights
-    post = ws.beta[:, 1:].transpose(2, 0, 1)[trellis.next_state]
+    order, dest = _edge_order(trellis)
+    # edge-major (S, A, B, n) in destination order, like weights
+    post = ws.beta[:, 1:].transpose(2, 0, 1)[dest]
     post *= ws.weights.transpose(2, 3, 0, 1)
     post *= ws.alpha[:, :-1].transpose(2, 0, 1)[:, None]
     A, J = post.shape[1], len(masks)
-    ones = np.stack([np.broadcast_to(m, (S, A)).reshape(S * A)
+    ones = np.stack([np.take_along_axis(np.broadcast_to(m, (S, A)), order,
+                                        axis=1).reshape(S * A)
                      for m in masks])
     sums = (np.vstack([ones, ~ones]).astype(float)
             @ post.reshape(S * A, B * n)).reshape(2 * J, B, n)
@@ -494,7 +568,8 @@ def map_lut(spec: LutCodeSpec, y: np.ndarray, prior=None, *,
     _check_finite("prior", prior)
     pr = prior.reshape(B, nsym, iw)
 
-    ch = _ook_metric(y.reshape(B, nsym, ow), spec.table, sigma2)
+    ch = (_ook_metric(y.reshape(B, nsym, ow), sigma2)
+          @ spec.table.astype(np.float64).T)
     idx = np.arange(1 << iw)
     msg_bits = ((idx[:, None] >> np.arange(iw - 1, -1, -1))
                 & 1).astype(np.float64)                  # (2^iw, iw)

@@ -175,6 +175,26 @@ class TestBcjrProperties:
         with pytest.raises(ValueError, match="code prior"):
             gamma_table_llr(codes.build_outer_cc(), code_prior)
 
+    @pytest.mark.parametrize("bad", ["nan", "+inf", "all -inf"])
+    def test_nonfinite_metric_table(self, bad):
+        """A metric table given directly is checked by its section maxima:
+        a NaN, a +inf or a section with every edge at -inf is refused by
+        name, with no floating-point warning.  A -inf beside finite edges
+        is a forbidden edge, and decodes."""
+        cc = codes.build_outer_cc()
+        g = gamma_table_llr(cc, np.random.default_rng(33).normal(
+            0, 1.5, (2, 12, 2)))
+        g[1, 5, 2, 1] = -np.inf
+        bcjr_decode(cc, g)
+        if bad == "all -inf":
+            g[1, 5] = -np.inf
+        else:
+            g[0, 7, 3, 0] = float(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="metric table"):
+                bcjr_decode(cc, g)
+
     def test_extrinsic_exclusion_finite_difference(self):
         """d L_E(v_l) / d L_A(v_l) is zero for trellis decoders."""
         sp = codes.build_split_phase()
@@ -239,10 +259,26 @@ def assert_states_conserved(trellis, ws):
 
 def transition_posteriors(trellis, ws):
     """alpha * weight * beta' of every transition, normalised per section
-    to sum 1: (B, n, S, A)."""
-    post = (ws.alpha[:, :-1, :, None] * ws.weights
+    to sum 1: (B, n, S, A), in input order (ws.weights lists each state's
+    edges by destination, siso._edge_order)."""
+    order, _ = siso._edge_order(trellis)
+    weights = np.take_along_axis(
+        ws.weights, np.argsort(order, axis=1)[None, None], axis=-1)
+    post = (ws.alpha[:, :-1, :, None] * weights
             * ws.beta[:, 1:][:, :, trellis.next_state])
     return post / post.sum(axis=(2, 3), keepdims=True)
+
+
+def incoming(trellis):
+    """(prev_state, input) pairs feeding each state, shape (S, 2) each;
+    the trellis must be regular (every state entered by two edges)."""
+    S = trellis.num_states
+    buckets = [[] for _ in range(S)]
+    for s, a in np.ndindex(S, 2):
+        buckets[trellis.next_state[s, a]].append((s, a))
+    assert all(len(b) == 2 for b in buckets), f"{trellis.name} not regular"
+    return (np.array([[p[0] for p in b] for b in buckets]),
+            np.array([[p[1] for p in b] for b in buckets]))
 
 
 def plain_forward_backward(trellis, gamma):
@@ -251,7 +287,7 @@ def plain_forward_backward(trellis, gamma):
     against.  Returns max-normalised log alpha and beta and the offsets
     taken out."""
     B, n, S, A = gamma.shape
-    in_state, in_input = trellis.incoming()
+    in_state, in_input = incoming(trellis)
     alpha = np.full((B, n + 1, S), -np.inf)
     alpha[:, 0, 0] = 0.0
     alpha_norm = np.zeros((B, n + 1))
@@ -474,15 +510,16 @@ class TestChunkedScan:
                           if code == "split-phase"
                           else outer_gamma(rng, B, K * c))
         S, A = trellis.num_states, 2
-        w = siso._section_weights(gamma)
+        order, dest = siso._edge_order(trellis)
+        w = siso._section_weights(gamma, order)
         forward = siso._chunk_transfers(
-            siso._time_major(w.reshape(B, K, c, S, A)), trellis.incoming())
+            siso._time_major(w.reshape(B, K, c, S, A)))
         backward = np.empty((B, K, S, S))
         for k, s in np.ndindex(K, S):
             v = np.zeros((B, S))
             v[:, s] = 1.0
             for l in range(c * (k + 1) - 1, c * k - 1, -1):
-                v = (w[:, l] * v[:, trellis.next_state]).sum(axis=-1)
+                v = (w[:, l] * v[:, dest]).sum(axis=-1)
             backward[:, k, :, s] = v
         backward /= backward.max(axis=(2, 3), keepdims=True)
         np.testing.assert_allclose(forward, backward, rtol=1e-12, atol=0)
@@ -502,6 +539,42 @@ class TestChunkedScan:
         assert siso._chunk_length(5462, 8, 4, 2) < 5462 // 2
         assert siso._chunk_length(256, 400, 2, 2) == 256
         assert siso._chunk_length(130, 770, 4, 2) == 130
+
+
+class TestEdgeOrder:
+    """The scan takes each state's edges by destination and needs the j-th
+    edge of state s to enter state j*(S/A) + s//A."""
+
+    @pytest.mark.parametrize("builder", [
+        codes.build_outer_cc, codes.build_split_phase, codes.build_bmc])
+    def test_library_trellises(self, builder):
+        trellis = builder()
+        order, dest = siso._edge_order(trellis)
+        assert siso._edge_order(trellis)[0] is order      # computed once
+        S = trellis.num_states
+        np.testing.assert_array_equal(
+            dest, np.take_along_axis(trellis.next_state, order, axis=1))
+        np.testing.assert_array_equal(
+            dest, [[j * (S // 2) + s // 2 for j in range(2)]
+                   for s in range(S)])
+
+    @pytest.mark.parametrize("S", [2, 4])
+    def test_dense_trellis(self, S):
+        order, dest = siso._destination_order(
+            "dense", siso._dense_trellis(S))
+        np.testing.assert_array_equal(order, np.indices((S, S))[1])
+        np.testing.assert_array_equal(dest, siso._dense_trellis(S))
+
+    def test_other_regular_trellis_refused(self):
+        """Every state here is entered by two edges, but state 0's go to
+        states 0 and 1, not 0 and 2."""
+        odd = codes.TrellisSpec(
+            name="odd", num_states=4, outputs_per_step=1,
+            next_state=[[0, 1], [2, 3], [0, 1], [2, 3]],
+            output_bits=[[[0], [1]]] * 4)
+        gamma = gamma_table_llr(odd, np.zeros((1, 6, 1)))
+        with pytest.raises(ValueError, match="trellis odd"):
+            bcjr_decode(odd, gamma)
 
 
 class TestNumericalContract:
