@@ -20,7 +20,7 @@ by its largest entry.  The metric tables are stored edge-major,
 order: every trellis the scan accepts (_edge_order) then has its j-th edge
 out of state s enter state j*(S/A) + s//A, so the edges into a state are
 one slice of the edge products, and an alpha step sums slices with no
-gather (_into_states); beta gathers its state vector by the reordered
+gather (_destination_views); beta gathers its state vector by the reordered
 next_state.  alpha and beta are stored state-major, (S, B, n+1).  Both
 recursions run as one chunked scan (_scan), which copies the weights once
 per level, time-major: each chunk's transfer matrix is computed once per
@@ -379,13 +379,16 @@ def _chunk_transfers(g) -> np.ndarray:
     of those divisors is added back when the rows are put on one scale.
     """
     c, S, A, B, K = g.shape
-    trans = np.zeros((S, S, B, K))
+    rows = np.zeros((2, S, S, B, K))        # this step's and the next's
+    trans = rows[0]
     trans[np.arange(S), np.arange(S)] = 1.0
     divisors = np.empty((c, S, B, K))
+    prod = np.empty((S, A, S, B, K))
+    edges, states = _destination_views(prod, rows)
     for t in range(c):
-        prod = trans[:, None] * g[t][:, :, None]
-        trans = np.empty(trans.shape)
-        _into_states(prod, trans)
+        np.multiply(trans[:, None], g[t][:, :, None], out=prod)
+        _sum_edges(edges, states[(t + 1) % 2])
+        trans = rows[(t + 1) % 2]
         _max_over_states(trans, axis=0, out=divisors[t], initial=_TINY)
         trans /= divisors[t]
     log_scale = np.log(divisors).sum(axis=0)
@@ -394,20 +397,25 @@ def _chunk_transfers(g) -> np.ndarray:
     return trans.transpose(2, 3, 1, 0)
 
 
-def _into_states(prod, out) -> None:
-    """out[s] = the sum of the edge products prod (S, A, ...), in
-    destination order, over the edges into state s.
-
-    The edges into state j*(S/A) + q are edge j of states q*A + i, so
-    prod read as (S/A, i, j, ...) is summed over i, in ascending source
-    state, straight into out read as (S/A, j, ...).
+def _destination_views(prod, states):
+    """The views through which an alpha step sums its edge products into
+    the states they enter, with no gather: prod (S, A, ...), in
+    destination order, as edges[q, i, j], and states (T, S, ...) as
+    states[t][q, j].  Edge j of state q*A + i enters state j*(S/A) + q
+    (_destination_order), so summing edges over i into states[t] gives
+    each state the sum of its incoming edges, in ascending source state.
     """
     S, A = prod.shape[:2]
-    into = prod.reshape(S // A, A, A, *prod.shape[2:])
-    dst = out.reshape(A, S // A, *out.shape[1:]).swapaxes(0, 1)
-    np.add(into[:, 0], into[:, 1], out=dst)
-    for i in range(2, A):
-        dst += into[:, i]
+    return (prod.reshape(S // A, A, A, *prod.shape[2:]),
+            states.reshape(len(states), A, S // A, *states.shape[2:])
+            .swapaxes(1, 2))
+
+
+def _sum_edges(x, out) -> None:
+    """out = x[:, 0] + x[:, 1] + ..., summed in that order."""
+    np.add(x[:, 0], x[:, 1], out=out)
+    for i in range(2, x.shape[1]):
+        out += x[:, i]
 
 
 def _recurse(g, out, cur, next_state=None) -> None:
@@ -418,22 +426,22 @@ def _recurse(g, out, cur, next_state=None) -> None:
     divided by their largest entry.  With next_state (beta), a step weighs
     edge (s, j) by the state it enters and sums the edges out of s;
     without (alpha), it weighs each edge by the state it leaves and sums
-    the edges into each state (_into_states).  The steps write a
+    the edges into each state (_destination_views).  The steps write a
     contiguous buffer, copied to out at the end.
     """
     buf = np.empty(out.shape)
+    prod = np.empty(g.shape[1:])
+    edges, states = _destination_views(prod, buf)
     for t in range(g.shape[0]):
-        nxt = buf[t]
         if next_state is None:
-            _into_states(cur[:, None] * g[t], nxt)
+            np.multiply(cur[:, None], g[t], out=prod)
+            _sum_edges(edges, states[t])
         else:
-            cand = cur[next_state]
-            cand *= g[t]
-            np.add(cand[:, 0], cand[:, 1], out=nxt)
-            for j in range(2, cand.shape[1]):
-                nxt += cand[:, j]
-        nxt /= _max_over_states(nxt, axis=0, initial=_TINY)
-        cur = nxt
+            np.take(cur, next_state, axis=0, out=prod)
+            prod *= g[t]
+            _sum_edges(prod, buf[t])
+        cur = buf[t]
+        cur /= _max_over_states(cur, axis=0, initial=_TINY)
     out[...] = buf
 
 
