@@ -328,8 +328,8 @@ def _scan(w, next_state, alpha, beta, chunks) -> None:
     plain per-section recursion.  Work arrays are state-major,
     (S, ..., B, K), and each section's slice of the copy is contiguous, so
     that numpy's inner loops run over blocks and chunks rather than over
-    the few states; with alpha and beta stored state-major too, each
-    phase-3 result is copied out row by row.
+    the few states.  alpha and beta are stored state-major too, so that
+    the posteriors read each state's weights as contiguous rows.
     """
     B, n, S, A = w.shape
     if not n:
