@@ -32,9 +32,11 @@ def test_simulate_point_records():
 def test_thresholds():
     got = probe.thresholds()
     assert got.keys() == SAVED["run_threshold"].keys()
-    for scheme, want in SAVED["run_threshold"].items():
-        have, want = dict(got[scheme]), dict(want)
-        gap = float.fromhex(have.pop("tunnel_min_gap"))
-        assert gap == pytest.approx(
-            float.fromhex(want.pop("tunnel_min_gap")), rel=0, abs=1e-9)
-        assert have == want, scheme
+    for setting, schemes in SAVED["run_threshold"].items():
+        assert got[setting].keys() == schemes.keys(), setting
+        for scheme, want in schemes.items():
+            have, want = dict(got[setting][scheme]), dict(want)
+            gap = float.fromhex(have.pop("tunnel_min_gap"))
+            assert gap == pytest.approx(
+                float.fromhex(want.pop("tunnel_min_gap")), rel=0, abs=1e-9)
+            assert have == want, (setting, scheme)

@@ -10,7 +10,8 @@ same numbers must print the same file.  It records
 - simulate_point records, floats by float.hex and the wall time dropped,
   at the benchmark's desk and dim60 settings and at small cc-bmc,
   cc-4b6b and cc-manchester points, each at batch 1, 3 and 8;
-- run_threshold at 5000 samples (its schemes and floats by float.hex);
+- run_threshold at seed 1 with 5000 samples and at seed 2 with 2000 (its
+  schemes and floats by float.hex);
 - SHA-256 digests of the bytes of bcjr_forward_backward's alpha and beta
   and of bcjr_extrinsic, bcjr_decode and map_lut outputs, on fixed
   random inputs at long, medium, wide and short shapes.
@@ -57,6 +58,8 @@ BATCHES = (1, 3, 8)
 INNER_SHAPES = ((8, 8193), (8, 1028), (20, 256), (2, 7))
 OUTER_SHAPES = ((8, 5462), (8, 514), (26, 130), (3, 203))
 LUT_SHAPES = ((8, 1366), (40, 64), (2, 3))
+# (seed, EXIT samples) of the threshold searches
+THRESHOLD_SETTINGS = ((1, 5000), (2, 2000))
 
 
 def _plain(value):
@@ -84,11 +87,16 @@ def ber_records() -> dict:
 
 
 def thresholds() -> dict:
-    cfg = harness.load_config(None, overrides={"exit_samples": 5000,
-                                               "seed": 1})
-    return {scheme: {k: _plain(v) for k, v in
+    """run_threshold's results, "seed <s>, <n> samples" -> scheme -> fields."""
+    out = {}
+    for seed, samples in THRESHOLD_SETTINGS:
+        cfg = harness.load_config(None, overrides={"exit_samples": samples,
+                                                   "seed": seed})
+        out[f"seed {seed}, {samples} samples"] = {
+            scheme: {k: _plain(v) for k, v in
                      dataclasses.asdict(res).items()}
             for scheme, res in harness.run_threshold(cfg).items()}
+    return out
 
 
 def fixture() -> dict:
