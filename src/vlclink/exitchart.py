@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import codes, pipeline
-from .channel import awgn, ook_modulate
+from .channel import check_sigma2, ook_modulate
 
 LN2 = np.log(2.0)
 
@@ -73,7 +73,11 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def measure_mi(llrs: np.ndarray, truth: np.ndarray) -> float:
-    """Time-average mutual-information estimate of an LLR sequence."""
+    """Time-average mutual-information estimate of an LLR sequence.
+
+    An LLR of +-inf is a saturated decision and counts as certain; a NaN
+    LLR raises a ValueError.
+    """
     llrs = np.asarray(llrs, dtype=np.float64).ravel()
     truth = np.asarray(truth).ravel()
     if llrs.size != truth.size:
@@ -81,7 +85,10 @@ def measure_mi(llrs: np.ndarray, truth: np.ndarray) -> float:
     if llrs.size == 0:
         return 0.0
     signed = (2.0 * truth - 1.0) * llrs
-    val = 1.0 - float(np.mean(_softplus(-signed))) / LN2
+    mean = float(np.mean(_softplus(-signed)))
+    if np.isnan(mean):      # +-inf LLRs (saturated decisions) give no NaN
+        raise ValueError("LLRs must not be NaN")
+    val = 1.0 - mean / LN2
     return min(max(val, 0.0), 1.0)
 
 
@@ -110,9 +117,9 @@ class ExitCurve:
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.float64)
-        if (np.diff(g) <= 0).any():
-            raise ValueError("grid must be strictly increasing")
-        if ((v < 0) | (v > 1)).any():
+        if not np.isfinite(g).all() or (np.diff(g) <= 0).any():
+            raise ValueError("grid must be finite and strictly increasing")
+        if not ((v >= 0) & (v <= 1)).all():     # also false for NaN
             raise ValueError("curve values must lie in [0, 1]")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
@@ -128,33 +135,84 @@ def _block_count(samples, block: int) -> int:
     return int(np.ceil(samples / block))
 
 
+@dataclass(frozen=True)
+class _InnerDraws:
+    """The random inputs of one inner curve that do not depend on sigma2.
+
+    Per grid point (the first axis of every array): messages (nblocks,
+    n0) and their line bits, both uint8; unit-variance noise on the line
+    bits and a-priori LLRs on the messages, both float64.  Every array is
+    read-only, so a decoder cannot change them between noise levels.
+    """
+    inner: str
+    grid: np.ndarray
+    messages: np.ndarray
+    lines: np.ndarray
+    noise: np.ndarray
+    priors: np.ndarray
+
+
+def _draw_inner(inner: str, grid: np.ndarray, samples,
+                seed: int) -> _InnerDraws:
+    """Draw an inner curve's messages, line bits, noise and priors.
+
+    Each grid point has its own generator, seeded by (seed, point index),
+    which draws that point's messages, then the standard-normal noise,
+    then the priors; one encoder call serves the grid.  numpy's
+    normal(0, s) is 0 + s * standard_normal on the same stream, so scaling
+    this noise by sqrt(sigma2) gives the noise channel.awgn would draw.
+    """
+    code = pipeline.INNER_CODES[inner]
+    n0 = _INNER_BLOCK
+    nblocks = _block_count(samples, n0)
+    rngs = [np.random.default_rng([seed, gi]) for gi in range(len(grid))]
+    messages = np.stack([rng.integers(0, 2, size=(nblocks, n0)).astype(
+        np.uint8) for rng in rngs])
+    # the encoder draws no numbers, so each point's generator goes on to
+    # its noise and priors unchanged
+    lines = code.encode(messages.reshape(-1, n0)).reshape(
+        len(grid), nblocks, -1)
+    noise = np.empty(lines.shape)
+    priors = np.empty(messages.shape)
+    for rng, ia, v, z, prior in zip(rngs, grid, messages, noise, priors):
+        rng.standard_normal(out=z)
+        prior[...] = sample_priors(v, j_inverse(float(ia)), rng)
+    for a in (messages, lines, noise, priors):
+        a.flags.writeable = False
+    return _InnerDraws(inner, grid, messages, lines, noise, priors)
+
+
+def _inner_at(draws: _InnerDraws, sigma2: float,
+              ebn0_db: float | None = None) -> ExitCurve:
+    """The inner curve of `draws` at noise variance sigma2: each point
+    decodes y = line + sqrt(sigma2) * noise and measures its extrinsic
+    mutual information."""
+    check_sigma2(sigma2)
+    code = pipeline.INNER_CODES[draws.inner]
+    scale = np.sqrt(sigma2)
+    values = []
+    for v, line, z, prior in zip(draws.messages, draws.lines, draws.noise,
+                                 draws.priors):
+        y = ook_modulate(line) + scale * z
+        ext = code.extrinsic(y, prior, sigma2)
+        values.append(measure_mi(ext, v))
+    return ExitCurve(component=f"inner:{draws.inner}", ebn0_db=ebn0_db,
+                     grid=draws.grid, values=np.array(values),
+                     samples_per_point=draws.messages[0].size)
+
+
 def inner_curve(inner: str, sigma2: float, grid=None, samples: int = 100_000,
                 seed: int = 0, ebn0_db: float | None = None) -> ExitCurve:
     """Measured transfer curve of one inner line-code SISO decoder.
 
     `samples` counts decoder input bits per grid point.  Each point has
     its own generator, seeded by (seed, point index), which draws its
-    messages, channel noise and priors; one encoder call serves the grid.
+    messages, channel noise and priors; one encoder call serves the grid
+    (`_draw_inner`).  The decoders then run at sigma2 (`_inner_at`).
     """
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, np.float64)
-    code = pipeline.INNER_CODES[inner]
-    n0 = _INNER_BLOCK
-    nblocks = _block_count(samples, n0)
-    rngs = [np.random.default_rng([seed, gi]) for gi in range(len(grid))]
-    vs = np.stack([rng.integers(0, 2, size=(nblocks, n0)).astype(np.uint8)
-                   for rng in rngs])
-    # one encoder call for the whole grid; the encoder draws no numbers,
-    # so each point's generator goes on to its noise and priors unchanged
-    lines = code.encode(vs.reshape(-1, n0)).reshape(len(grid), nblocks, -1)
-    values = []
-    for rng, ia, v, line in zip(rngs, grid, vs, lines):
-        y = awgn(ook_modulate(line), sigma2, rng)
-        prior = sample_priors(v, j_inverse(float(ia)), rng)
-        ext = code.extrinsic(y, prior, sigma2)
-        values.append(measure_mi(ext, v))
-    return ExitCurve(component=f"inner:{inner}", ebn0_db=ebn0_db,
-                     grid=grid, values=np.array(values),
-                     samples_per_point=nblocks * n0)
+    return _inner_at(_draw_inner(inner, grid, samples, seed), sigma2,
+                     ebn0_db=ebn0_db)
 
 
 _OUTER_BLOCK = 128      # message bits per independent outer-curve block
@@ -222,20 +280,29 @@ def find_threshold(chain: pipeline.ChainConfig,
     """Smallest Eb/N0 (on the resolution grid) with an open decoding tunnel.
 
     The tunnel must be open on DEFAULT_GRID up to I = 0.99.  Bisection
-    over Eb/N0 with common random numbers per point; the bracket is
-    verified: open at the reported point, closed one step below.
+    over Eb/N0 with common random numbers: the inner curve's messages,
+    line bits, unit-variance noise and priors are drawn once per search
+    (`_draw_inner`), and each Eb/N0 visited only rescales the noise
+    (`_inner_at`), so every point measures exactly the curve inner_curve
+    would.  The bracket is verified: open at the reported point, closed
+    one step below.  lo_db and hi_db must be finite and resolution_db
+    positive and finite; they are checked before anything is drawn.
     """
-    if resolution_db <= 0:
-        raise ValueError("resolution must be positive")
+    if not (np.isfinite(resolution_db) and resolution_db > 0):
+        raise ValueError(f"resolution_db must be positive and finite, "
+                         f"got {resolution_db}")
+    for name, value in (("lo_db", lo_db), ("hi_db", hi_db)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if lo_db >= hi_db:
         raise ValueError(f"lo_db={lo_db} must lie below hi_db={hi_db}")
 
+    draws = _draw_inner(chain.inner, DEFAULT_GRID, samples, seed)
     gaps = {}
 
     def gap_at(ebn0):
         if ebn0 not in gaps:
-            c = inner_curve(chain.inner, chain.sigma2(ebn0),
-                            samples=samples, seed=seed, ebn0_db=ebn0)
+            c = _inner_at(draws, chain.sigma2(ebn0), ebn0_db=ebn0)
             gaps[ebn0] = _tunnel_gap(c, outer_curve_measured, 0.01)
         return gaps[ebn0]
 

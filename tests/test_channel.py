@@ -32,6 +32,23 @@ def test_awgn_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("sigma2", [1e-6, 0.137, 0.5, 3.7])
+def test_awgn_is_scaled_standard_normal(sigma2):
+    """awgn's noise is sqrt(sigma2) times the generator's standard-normal
+    draws, bit for bit, and leaves the stream at the same place, also when
+    the draws fill a preallocated array; exitchart draws the noise once
+    and rescales it per noise level on this identity."""
+    x = ook_modulate(np.random.default_rng(3).integers(0, 2, (5, 77)))
+    a, b, c = (block_rng(9, 2) for _ in range(3))
+    y = awgn(x, sigma2, a)
+    np.testing.assert_array_equal(
+        y, x + np.sqrt(sigma2) * b.standard_normal(x.shape))
+    z = np.empty(x.shape)
+    c.standard_normal(out=z)
+    np.testing.assert_array_equal(y, x + np.sqrt(sigma2) * z)
+    assert a.random() == b.random() == c.random()
+
+
 def test_seed_isolation():
     """Block noise depends only on (master seed, index), not on order."""
     draws1 = [awgn(np.zeros(8), 1.0, block_rng(7, i)) for i in (0, 1, 2)]

@@ -50,6 +50,15 @@ class TestMeasureMi:
         with pytest.raises(ValueError):
             ex.measure_mi(np.zeros(5), np.zeros(6))
 
+    def test_nan_rejected_inf_kept(self):
+        truth = np.array([1, 0, 1, 0])
+        with pytest.raises(ValueError, match="NaN"):
+            ex.measure_mi(np.array([2.0, np.nan, -1.0, -3.0]), truth)
+        llrs = np.array([np.inf, -np.inf, 1.0, -1.0])
+        want = 0.5 + 0.5 * (1.0 - np.log1p(np.exp(-1.0)) / ex.LN2)
+        assert ex.measure_mi(llrs, truth) == pytest.approx(want, rel=1e-12)
+        assert ex.measure_mi(-llrs, truth) == 0.0
+
     def test_softplus_matches_logaddexp(self):
         rng = np.random.default_rng(2)
         x = np.concatenate([rng.normal(0, 30, 10 ** 5),
@@ -69,6 +78,17 @@ def sigma2_5db():
 
 
 class TestCurves:
+
+    @pytest.mark.parametrize("grid, values", [
+        ([0.0, np.nan], [0.1, 0.2]), ([np.nan], [0.1]),
+        ([0.0, np.inf], [0.1, 0.2]), ([0.0, 0.5], [0.1, np.nan]),
+        ([0.0, 0.5], [0.1, np.inf])],
+        ids=["grid nan", "one-point grid nan", "grid inf", "values nan",
+             "values inf"])
+    def test_nonfinite_curve_rejected(self, grid, values):
+        with pytest.raises(ValueError, match="grid must be finite|values"):
+            ex.ExitCurve("inner:split-phase", 5.0, np.array(grid),
+                         np.array(values), 256)
 
     def test_manchester_flat(self, sigma2_5db):
         c = ex.inner_curve("manchester", sigma2_5db, samples=200000, seed=2)
@@ -136,6 +156,18 @@ def _outer_curve_per_point(outer, puncture, grid, samples, seed):
     return np.array(values)
 
 
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """Every codes.encode/encode_lut call made while the test runs."""
+    calls = []
+    for name in ("encode", "encode_lut"):
+        def spy(*args, _fn=getattr(codes, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(codes, name, spy)
+    return calls
+
+
 class TestOneEncoderCall:
     """A curve encodes its whole grid at once; every generator still draws
     the same numbers, so the curve equals the per-point reference."""
@@ -161,13 +193,8 @@ class TestOneEncoderCall:
 
     @pytest.mark.parametrize("grid", [[0.5], [0.0, 0.999], None],
                              ids=["1-point", "2-point", "default"])
-    def test_one_call_whatever_the_grid(self, monkeypatch, grid):
-        calls = []
-        for name in ("encode", "encode_lut"):
-            def spy(*args, _fn=getattr(codes, name), **kwargs):
-                calls.append(_fn)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(codes, name, spy)
+    def test_one_call_whatever_the_grid(self, encoder_calls, grid):
+        calls = encoder_calls
         for inner in INNER_CODES:
             calls.clear()
             ex.inner_curve(inner, 0.3, grid=grid, samples=300)
@@ -218,12 +245,12 @@ class TestThreshold:
         outer = ex.outer_curve(chain.outer, chain.puncture, samples=2000,
                                seed=10)
         measured = []
-        inner_curve = ex.inner_curve
+        inner_at = ex._inner_at
 
         def counted(*args, **kwargs):
             measured.append(kwargs["ebn0_db"])
-            return inner_curve(*args, **kwargs)
-        monkeypatch.setattr(ex, "inner_curve", counted)
+            return inner_at(*args, **kwargs)
+        monkeypatch.setattr(ex, "_inner_at", counted)
         for lo, hi in ((3.0, 6.5), (-2.0, 0.0), (6.0, 7.0)):
             measured.clear()
             ex.find_threshold(chain, outer, lo_db=lo, hi_db=hi,
@@ -236,12 +263,108 @@ class TestThreshold:
         outer = ex.outer_curve(chain.outer, chain.puncture, samples=2000,
                                seed=10)
         measured = []
-        monkeypatch.setattr(ex, "inner_curve",
-                            lambda *args, **kwargs: measured.append(kwargs))
+        for step in ("_draw_inner", "_inner_at"):
+            monkeypatch.setattr(ex, step,
+                                lambda *args, **kwargs: measured.append(
+                                    kwargs))
         with pytest.raises(ValueError, match=f"lo_db={lo} .* hi_db={hi}"):
             ex.find_threshold(chain, outer, lo_db=lo, hi_db=hi,
                               samples=2000, seed=10)
         assert not measured
+
+    @pytest.mark.parametrize("name, value", [
+        ("lo_db", np.nan), ("lo_db", np.inf), ("lo_db", -np.inf),
+        ("hi_db", np.nan), ("hi_db", np.inf), ("hi_db", -np.inf),
+        ("resolution_db", np.nan), ("resolution_db", np.inf),
+        ("resolution_db", 0.0), ("resolution_db", -0.1)])
+    def test_bad_bracket_or_resolution_rejected(self, encoder_calls, name,
+                                                value):
+        chain = make_chain("cc-split-phase", 64)
+        outer = ex.outer_curve(chain.outer, chain.puncture, samples=2000,
+                               seed=10)
+        encoder_calls.clear()
+        args = {"lo_db": 3.0, "hi_db": 6.5, "resolution_db": 0.25, name:
+                value}
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ex.find_threshold(chain, outer, samples=2000, seed=10, **args)
+        assert not encoder_calls
+
+
+def _threshold_per_point(chain, outer, lo, hi, resolution, samples, seed):
+    """Reference bisection: each Eb/N0 visited measures its own
+    inner_curve.  Returns the result and the gap at every visited Eb/N0."""
+    gaps = {}
+
+    def gap_at(ebn0):
+        if ebn0 not in gaps:
+            c = ex.inner_curve(chain.inner, chain.sigma2(ebn0),
+                               samples=samples, seed=seed, ebn0_db=ebn0)
+            gaps[ebn0] = ex._tunnel_gap(c, outer, 0.01)
+        return gaps[ebn0]
+
+    if gap_at(lo) > 0:
+        return ex.ThresholdResult(lo, gap_at(lo), resolution, True), gaps
+    if gap_at(hi) <= 0:
+        return ex.ThresholdResult(None, gap_at(hi), resolution, False), gaps
+    while hi - lo > resolution + 1e-9:
+        mid = (lo + hi) / 2.0
+        if gap_at(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return ex.ThresholdResult(hi, gap_at(hi), resolution, True), gaps
+
+
+class TestOneDrawPerSearch:
+    """A threshold search draws its inner curve's messages, lines, noise
+    and priors once and rescales the noise at each Eb/N0; every point it
+    measures is still exactly inner_curve's."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("inner", sorted(INNER_CODES))
+    def test_gaps_match_inner_curve(self, monkeypatch, inner, seed):
+        chain = make_chain(f"cc-{inner}", 64)
+        outer = ex.outer_curve(chain.outer, chain.puncture, samples=600,
+                               seed=seed)
+        want, want_gaps = _threshold_per_point(chain, outer, 2.0, 7.0, 0.1,
+                                               600, seed)
+        measured = {}
+        tunnel_gap = ex._tunnel_gap
+
+        def recorded(curve, outer_curve, eps):
+            measured[curve.ebn0_db] = gap = tunnel_gap(curve, outer_curve,
+                                                       eps)
+            return gap
+        monkeypatch.setattr(ex, "_tunnel_gap", recorded)
+        got = ex.find_threshold(chain, outer, lo_db=2.0, hi_db=7.0,
+                                resolution_db=0.1, samples=600, seed=seed)
+        assert measured == want_gaps
+        assert got == want
+
+    def test_one_encoder_call_per_search(self, encoder_calls):
+        for inner in INNER_CODES:
+            chain = make_chain(f"cc-{inner}", 64)
+            outer = ex.outer_curve(chain.outer, chain.puncture, samples=600,
+                                   seed=3)
+            encoder_calls.clear()
+            ex.find_threshold(chain, outer, lo_db=-2.0, hi_db=7.0,
+                              resolution_db=0.5, samples=600, seed=3)
+            assert len(encoder_calls) == 1, inner
+
+    def test_draws_read_only(self):
+        draws = ex._draw_inner("split-phase", ex.DEFAULT_GRID, 600, 1)
+        for name in ("messages", "lines", "noise", "priors"):
+            a = getattr(draws, name)
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+        assert draws.messages.dtype == draws.lines.dtype == np.uint8
+
+    @pytest.mark.parametrize("sigma2", [0.0, -0.3, np.nan, np.inf])
+    def test_every_evaluation_checks_sigma2(self, sigma2):
+        draws = ex._draw_inner("4b6b", ex.DEFAULT_GRID, 600, 1)
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            ex._inner_at(draws, sigma2)
 
 
 class TestTrajectory:
