@@ -283,8 +283,8 @@ class TestThreshold:
         outer = ex.outer_curve(chain.outer, chain.puncture, samples=2000,
                                seed=10)
         encoder_calls.clear()
-        args = {"lo_db": 3.0, "hi_db": 6.5, "resolution_db": 0.25, name:
-                value}
+        args = dict(lo_db=3.0, hi_db=6.5, resolution_db=0.25)
+        args[name] = value
         with pytest.raises(ValueError, match=f"{name} must be"):
             ex.find_threshold(chain, outer, samples=2000, seed=10, **args)
         assert not encoder_calls
