@@ -10,8 +10,9 @@ same numbers must print the same file.  It records
 - simulate_point records, floats by float.hex and the wall time dropped,
   at the benchmark's desk and dim60 settings and at small cc-bmc,
   cc-4b6b and cc-manchester points, each at batch 1, 3 and 8;
-- run_threshold at seed 1 with 5000 samples and at seed 2 with 2000 (its
-  schemes and floats by float.hex);
+- run_threshold at seed 1 with 5000 samples, at seed 2 with 2000 and at
+  seed 3 with 12 800, whose 50 blocks per EXIT grid point are more than
+  one inner-decoder call takes (its schemes and floats by float.hex);
 - SHA-256 digests of the bytes of bcjr_forward_backward's alpha and beta
   and of bcjr_extrinsic, bcjr_decode and map_lut outputs, on fixed
   random inputs at long, medium, wide and short shapes.
@@ -59,7 +60,7 @@ INNER_SHAPES = ((8, 8193), (8, 1028), (20, 256), (2, 7))
 OUTER_SHAPES = ((8, 5462), (8, 514), (26, 130), (3, 203))
 LUT_SHAPES = ((8, 1366), (40, 64), (2, 3))
 # (seed, EXIT samples) of the threshold searches
-THRESHOLD_SETTINGS = ((1, 5000), (2, 2000))
+THRESHOLD_SETTINGS = ((1, 5000), (2, 2000), (3, 12_800))
 
 
 def _plain(value):
