@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlclink import codes, exitchart as ex
+from vlclink import codes, exitchart as ex, siso
 from vlclink.channel import awgn, ebn0_to_sigma2, ook_modulate
 from vlclink.codes import NO_PUNCTURE, RATE_23_PUNCTURE, build_outer_cc
 from vlclink.pipeline import INNER_CODES, make_chain, outer_extrinsic
@@ -175,10 +175,31 @@ class TestOneEncoderCall:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("inner", sorted(INNER_CODES))
     def test_inner_same_numbers(self, inner, seed):
-        c = ex.inner_curve(inner, 0.3, samples=600, seed=seed)
+        # 3 and 8 blocks per point: whole groups of points per decoder
+        # call, and at 2000 samples a last group of 3 points
+        for samples in (600, 2000):
+            c = ex.inner_curve(inner, 0.3, samples=samples, seed=seed)
+            np.testing.assert_array_equal(
+                c.values,
+                _inner_curve_per_point(inner, 0.3, ex.DEFAULT_GRID, samples,
+                                       seed), err_msg=f"{samples} samples")
+
+    @pytest.mark.parametrize("inner", sorted(INNER_CODES))
+    def test_one_block_points(self, monkeypatch, inner):
+        """At samples <= 256 each point is one block, and a one-block
+        split-phase/BMC call takes another chunk plan than the call of
+        every point together: the curve equals the reference to rounding,
+        and exactly once both calls take the same plan."""
+        c = ex.inner_curve(inner, 0.3, samples=200, seed=1)
+        want = _inner_curve_per_point(inner, 0.3, ex.DEFAULT_GRID, 200, 1)
+        np.testing.assert_allclose(c.values, want, rtol=0, atol=1e-15)
+        chunk_length = siso._chunk_length
+        monkeypatch.setattr(siso, "_chunk_length",
+                            lambda n, B, S, A: chunk_length(n, 2, S, A))
+        c = ex.inner_curve(inner, 0.3, samples=200, seed=1)
         np.testing.assert_array_equal(
             c.values,
-            _inner_curve_per_point(inner, 0.3, ex.DEFAULT_GRID, 600, seed))
+            _inner_curve_per_point(inner, 0.3, ex.DEFAULT_GRID, 200, 1))
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("puncture", [RATE_23_PUNCTURE, NO_PUNCTURE],
@@ -212,6 +233,51 @@ class TestOneEncoderCall:
         with pytest.raises(ValueError, match="samples must be >= 1"):
             ex.outer_curve(build_outer_cc(), RATE_23_PUNCTURE,
                            samples=samples)
+
+
+@pytest.fixture
+def decoder_priors(monkeypatch):
+    """The priors of every inner-decoder call made while the test runs."""
+    priors = []
+
+    def trellis_spy(*args, _fn=siso.bcjr_extrinsic, **kwargs):
+        priors.append(kwargs["prior"])
+        return _fn(*args, **kwargs)
+
+    def lut_spy(spec, y, prior, _fn=siso.map_lut, **kwargs):
+        priors.append(prior)
+        return _fn(spec, y, prior, **kwargs)
+    monkeypatch.setattr(siso, "bcjr_extrinsic", trellis_spy)
+    monkeypatch.setattr(siso, "map_lut", lut_spy)
+    return priors
+
+
+class TestGroupedCalls:
+    """_inner_at decodes small grid points together: whole points, in grid
+    order, at most _ROWS_PER_CALL blocks per decoder call; a point of more
+    than half of that is decoded alone."""
+
+    @pytest.mark.parametrize("inner", sorted(INNER_CODES))
+    @pytest.mark.parametrize("samples, blocks, merged",
+                             [(5000, 20, True), (20_000, 79, False)])
+    def test_call_structure(self, decoder_priors, inner, samples, blocks,
+                            merged):
+        draws = ex._draw_inner(inner, ex.DEFAULT_GRID, samples, 1)
+        points = len(ex.DEFAULT_GRID)
+        per_call = max(1, ex._ROWS_PER_CALL // blocks)
+        assert (per_call > 1) == merged
+        decoder_priors.clear()
+        ex._inner_at(draws, 0.3)
+        assert len(decoder_priors) == -(-points // per_call)
+        first = 0
+        for prior in decoder_priors:
+            assert len(prior) % blocks == 0
+            assert len(prior) <= max(blocks, ex._ROWS_PER_CALL)
+            last = first + len(prior) // blocks
+            np.testing.assert_array_equal(
+                prior, draws.priors[first:last].reshape(len(prior), -1))
+            first = last
+        assert first == points
 
 
 class TestThreshold:
