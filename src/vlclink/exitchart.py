@@ -298,16 +298,21 @@ def find_threshold(chain: pipeline.ChainConfig,
                    lo_db: float = 2.0, hi_db: float = 7.0,
                    resolution_db: float = 0.05, samples: int = 100_000,
                    seed: int = 0) -> ThresholdResult:
-    """Smallest Eb/N0 (on the resolution grid) with an open decoding tunnel.
+    """Smallest Eb/N0 with an open decoding tunnel, to within resolution_db.
 
     The tunnel must be open on DEFAULT_GRID up to I = 0.99.  Bisection
     over Eb/N0 with common random numbers: the inner curve's messages,
     line bits, unit-variance noise and priors are drawn once per search
     (`_draw_inner`), and each Eb/N0 visited only rescales the noise
     (`_inner_at`), so every point measures exactly the curve inner_curve
-    would.  The bracket is verified: open at the reported point, closed
-    one step below.  lo_db and hi_db must be finite and resolution_db
-    positive and finite; they are checked before anything is drawn.
+    would.  The result is the open end of the last bracket, whose closed
+    end lies less than resolution_db below it; it is a bisection point
+    lo_db + (hi_db - lo_db) m / 2^j, not a multiple of resolution_db
+    (4.734375 dB = 2 + 5 * 70/128 for split-phase at seed 1 with 5000
+    samples and the default bracket).  If lo_db is already open it is the
+    result; if hi_db is closed, none is found.  lo_db and hi_db must be
+    finite and resolution_db positive and finite; they are checked before
+    anything is drawn.
     """
     if not (np.isfinite(resolution_db) and resolution_db > 0):
         raise ValueError(f"resolution_db must be positive and finite, "

@@ -376,4 +376,5 @@ class TestInnerCodeDispatch:
         assert set(called) == {self.DECODER[inner]}
         called.clear()
         exitchart.inner_curve(inner, 0.3, grid=[0.0, 0.5], samples=256)
-        assert called == [self.DECODER[inner]] * 2
+        # the two one-block points are decoded together, in one call
+        assert called == [self.DECODER[inner]]
