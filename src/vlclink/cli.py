@@ -3,6 +3,8 @@
 Subcommands: ber, exit, threshold, metrics, presets.  Configuration comes
 from a flat key=value file (--config), an optional named preset
 (--preset), and flag overrides; flags win over file, file over preset.
+ber, exit and threshold write result files to --out; only ber takes
+--workers, and only metrics --blocks.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ def _common(sub):
     sub.add_argument("--config", help="path to key=value config file")
     sub.add_argument("--preset", help="named preset (see `presets`)")
     sub.add_argument("--seed", type=int, help="master seed override")
-    sub.add_argument("--out", help="output directory for result files")
-    sub.add_argument("--workers", type=int, help="parallel workers")
 
 
 def _resolve(args) -> dict:
-    overrides = {"seed": args.seed, "workers": args.workers}
+    overrides = {"seed": args.seed, "workers": getattr(args, "workers", None)}
     return harness.load_config(args.config, preset=args.preset,
                                overrides=overrides)
 
@@ -44,6 +44,10 @@ def main(argv=None) -> int:
         sub = subs.add_parser(name, help=hlp)
         if name != "presets":
             _common(sub)
+        if name in ("ber", "exit", "threshold"):
+            sub.add_argument("--out", help="output directory for result files")
+        if name == "ber":
+            sub.add_argument("--workers", type=int, help="parallel workers")
         if name == "metrics":
             sub.add_argument("--blocks", type=int, default=1)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -246,28 +245,6 @@ class LutCodeSpec:
         object.__setattr__(self, "table", tab)
 
 
-def parse_lut_table(text: str, input_width: int = 4,
-                    output_width: int = 6) -> np.ndarray:
-    """Parse a '<input bits> <output bits>' per-line table into an array."""
-    table = np.zeros((1 << input_width, output_width), dtype=np.uint8)
-    seen = np.zeros(1 << input_width, dtype=bool)
-    for line in text.strip().splitlines():
-        line = line.split("#")[0].strip()
-        if not line:
-            continue
-        left, right = line.split()
-        if len(left) != input_width or len(right) != output_width:
-            raise ValueError(f"bad table line: {line!r}")
-        idx = int(left, 2)
-        if seen[idx]:
-            raise ValueError(f"duplicate table entry for {left}")
-        seen[idx] = True
-        table[idx] = [int(c) for c in right]
-    if not seen.all():
-        raise ValueError("table incomplete")
-    return table
-
-
 @lru_cache(maxsize=1)
 def build_manchester() -> LutCodeSpec:
     """Memoryless map 0 -> 01, 1 -> 10 (rate 1/2, balanced pairs)."""
@@ -277,11 +254,13 @@ def build_manchester() -> LutCodeSpec:
 
 @lru_cache(maxsize=1)
 def build_4b6b() -> LutCodeSpec:
-    """IEEE 802.15.7 4B6B substitution table (each 6-bit word has weight
-    3), read once from the packaged data/4b6b.txt."""
-    path = Path(__file__).parent / "data" / "4b6b.txt"
+    """IEEE 802.15.7 4B6B substitution table: row i is the 6-bit word of
+    the 4-bit symbol i (MSB first), each of weight 3."""
+    words = ("001110", "001101", "010011", "010110", "010101", "100011",
+             "100110", "100101", "011001", "011010", "011100", "110001",
+             "110010", "101001", "101010", "101100")
     return LutCodeSpec(name="4b6b", input_width=4, output_width=6,
-                       table=parse_lut_table(path.read_text()))
+                       table=[[int(b) for b in w] for w in words])
 
 
 def encode_lut(spec: LutCodeSpec, v: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ with the time-average estimator.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,6 +118,10 @@ class ExitCurve:
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.float64)
+        if g.ndim != 1 or g.size == 0 or v.shape != g.shape:
+            raise ValueError(f"grid of shape {g.shape} and values of shape "
+                             f"{v.shape}: the grid must be 1-D with at least "
+                             "one point, the values of its shape")
         if not np.isfinite(g).all() or (np.diff(g) <= 0).any():
             raise ValueError("grid must be finite and strictly increasing")
         if not ((v >= 0) & (v <= 1)).all():     # also false for NaN
@@ -358,6 +363,8 @@ def record_trajectory(cfg: pipeline.ChainConfig, ebn0_db: float,
     Even half-iterations are the inner decoder (x = its prior MI, y = its
     extrinsic MI); odd ones are the outer decoder on swapped axes.
     """
+    if not isinstance(blocks, numbers.Integral) or blocks < 1:
+        raise ValueError(f"blocks must be an integer >= 1, got {blocks!r}")
     sigma2 = cfg.sigma2(ebn0_db)
     rng = np.random.default_rng([seed, 11])
     u = rng.integers(0, 2, size=(blocks, cfg.k_user)).astype(np.uint8)

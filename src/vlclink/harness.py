@@ -369,12 +369,11 @@ def run_exit(cfg: dict, out_dir: str | Path | None = None) -> list:
     return curves
 
 
-def run_threshold(cfg: dict, schemes=("cc-split-phase", "cc-bmc", "cc-4b6b"),
-                  out_dir: str | Path | None = None) -> dict:
-    """Convergence thresholds of the requested schemes."""
+def run_threshold(cfg: dict, out_dir: str | Path | None = None) -> dict:
+    """Convergence thresholds of cc-split-phase, cc-bmc and cc-4b6b."""
     results = {}
     outer_curves = {}       # one measurement per (outer code, puncture)
-    for scheme in schemes:
+    for scheme in ("cc-split-phase", "cc-bmc", "cc-4b6b"):
         chain = pipeline.make_chain(scheme, 64)
         key = (chain.outer.name, chain.puncture)
         if key not in outer_curves:

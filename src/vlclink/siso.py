@@ -496,20 +496,16 @@ def bcjr_decode(trellis: TrellisSpec, gamma: np.ndarray) -> BcjrResult:
     return BcjrResult(app_input=llr[..., 0], app_output=llr[..., 1:])
 
 
-def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior=None,
+def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior,
                    sigma2: float) -> np.ndarray:
     """Extrinsic LLRs on the trellis input bits of an inner line code.
 
-    From OOK `observations` of the label bits, input-bit `prior` LLRs
-    (zero if None) and the noise variance `sigma2`; the result is
-    app(input) minus the clamped prior.
+    From OOK `observations` of the label bits, input-bit `prior` LLRs and
+    the noise variance `sigma2`; the result is app(input) minus the
+    clamped prior.
     """
-    obs = np.atleast_2d(np.asarray(observations, np.float64))
-    n = obs.shape[-1] // trellis.outputs_per_step
-    if prior is None:
-        prior = np.zeros((obs.shape[0], n))
     prior = np.atleast_2d(np.asarray(prior, np.float64))
-    gamma = gamma_table_ook(trellis, obs, prior, sigma2)
+    gamma = gamma_table_ook(trellis, observations, prior, sigma2)
     ws = bcjr_forward_backward(trellis, gamma)
     app_in = _app_llrs(trellis, ws, [_input_mask(trellis)],
                        f"OOK metric at sigma2={sigma2:g}")[..., 0]
@@ -551,7 +547,7 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def map_lut(spec: LutCodeSpec, y: np.ndarray, prior=None, *,
+def map_lut(spec: LutCodeSpec, y: np.ndarray, prior: np.ndarray, *,
             sigma2: float) -> np.ndarray:
     """Per-input-bit extrinsic for a LUT code by codeword enumeration.
 
@@ -570,8 +566,6 @@ def map_lut(spec: LutCodeSpec, y: np.ndarray, prior=None, *,
                          f"of {ow}")
     nsym = y.shape[-1] // ow
     B = y.shape[0]
-    if prior is None:
-        prior = np.zeros((B, nsym * iw))
     prior = clamp_llr(np.atleast_2d(np.asarray(prior, np.float64)))
     _check_finite("prior", prior)
     pr = prior.reshape(B, nsym, iw)

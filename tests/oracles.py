@@ -6,7 +6,6 @@ sequences, computing path metrics directly from the metric definitions
 at the end likewise enumerates code structure and never calls a decoder.
 """
 
-from importlib import resources
 from math import erfc, sqrt
 
 import numpy as np
@@ -133,9 +132,8 @@ def exhaustive_manchester_extrinsic(y, prior, sigma2):
 # -------------------------------------------------------------------------
 
 def committed_4b6b_table():
-    """The 4B6B table shipped as package data, as a (16, 6) bit array."""
-    text = resources.files("vlclink").joinpath("data/4b6b.txt").read_text()
-    return codes.parse_lut_table(text)
+    """The 4B6B table the chain encodes with, as a (16, 6) bit array."""
+    return codes.build_4b6b().table
 
 
 def outer_distance_spectrum(trellis, d_max):

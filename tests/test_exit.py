@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ class TestCurves:
         with pytest.raises(ValueError, match="grid must be finite|values"):
             ex.ExitCurve("inner:split-phase", 5.0, np.array(grid),
                          np.array(values), 256)
+
+    @pytest.mark.parametrize("grid, values", [
+        (ex.DEFAULT_GRID, ex.DEFAULT_GRID[1:]), ([[0.0, 0.5]], [[0.1, 0.2]]),
+        ([], []), ([0.0, 0.5], [[0.1, 0.2]])],
+        ids=["values shorter", "2-D grid", "empty grid", "2-D values"])
+    def test_misshapen_curve_rejected(self, grid, values):
+        shapes = re.escape(f"grid of shape {np.shape(grid)} and values of "
+                           f"shape {np.shape(values)}")
+        with pytest.raises(ValueError, match=shapes):
+            ex.ExitCurve("outer:cc", None, np.array(grid), np.array(values),
+                         256)
 
     def test_manchester_flat(self, sigma2_5db):
         c = ex.inner_curve("manchester", sigma2_5db, samples=200000, seed=2)
@@ -452,3 +465,13 @@ class TestTrajectory:
         for ia, ie in inner_pts:
             pred = np.interp(ia, inner.grid, inner.values)
             assert abs(ie - pred) < 0.05
+
+    @pytest.mark.parametrize("blocks", [0, -1, 2.5, "4"])
+    def test_unusable_block_count_rejected(self, monkeypatch, blocks):
+        def no_transmit(*args, **kwargs):
+            raise AssertionError("transmitted before checking blocks")
+        monkeypatch.setattr(ex.pipeline, "transmit", no_transmit)
+        with pytest.raises(ValueError,
+                           match=r"blocks must be an integer >= 1, got "):
+            ex.record_trajectory(make_chain("cc-split-phase", k=64), 5.5,
+                                 blocks=blocks)

@@ -287,11 +287,17 @@ class TestThreshold:
             punctures.append(puncture)
             return outer_curve(outer, puncture, **kwargs)
         monkeypatch.setattr(harness.exitchart, "outer_curve", counted)
-        both = harness.run_threshold(cfg, schemes=("cc-split-phase",
-                                                   "cc-bmc", "cc-4b6b"))
+        both = harness.run_threshold(cfg)
         assert len(punctures) == 2      # rate-2/3 once, unpunctured once
-        alone = harness.run_threshold(cfg, schemes=("cc-bmc",))
-        assert both["cc-bmc"] == alone["cc-bmc"]
+        chain = pipeline.make_chain("cc-bmc", 64)
+        outer = outer_curve(chain.outer, chain.puncture,
+                            samples=cfg["exit_samples"], seed=cfg["seed"])
+        alone = harness.exitchart.find_threshold(
+            chain, outer, lo_db=cfg["threshold_lo_db"],
+            hi_db=cfg["threshold_hi_db"],
+            resolution_db=cfg["threshold_resolution_db"],
+            samples=cfg["exit_samples"], seed=cfg["seed"])
+        assert both["cc-bmc"] == alone
 
 
 class TestCli:
@@ -316,7 +322,7 @@ class TestCli:
         p.write_text("k = 128\niterations = 5\nmax_blocks = 2\n"
                      "batch = 2\nebn0_db = 6.0\n")
         out = tmp_path / "res"
-        assert cli.main(["ber", "--config", str(p),
+        assert cli.main(["ber", "--config", str(p), "--workers", "2",
                          "--out", str(out)]) == 0
         assert (out / "ber.csv").exists()
         assert (out / "manifest.json").exists()
@@ -353,6 +359,15 @@ class TestCli:
         for rec in data.values():
             assert rec["found"]
             assert 3.0 <= rec["ebn0_db_star"] <= 6.0
+
+    @pytest.mark.parametrize("argv", [["exit", "--workers", "2"],
+                                      ["threshold", "--workers", "2"],
+                                      ["metrics", "--out", "d"]])
+    def test_flag_of_another_subcommand_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
 
     def test_metrics_rejects_no_blocks(self, capsys):
         assert cli.main(["metrics", "--blocks", "0"]) == 2

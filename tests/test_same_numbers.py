@@ -6,13 +6,15 @@ saved fixture: every record field and each threshold and `found` flag
 exactly (floats by float.hex), the tunnel gap to 1e-9.  A change that
 alters these numbers on purpose rewrites the fixture with
 `python tools/same_numbers.py --fixture tests/data/same_numbers.json` and
-declares the diff.
+declares the diff.  The probe's --compare exits with status 1 when two
+saved runs differ.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,3 +42,20 @@ def test_thresholds():
             assert gap == pytest.approx(
                 float.fromhex(want.pop("tunnel_min_gap")), rel=0, abs=1e-9)
             assert have == want, (setting, scheme)
+
+
+@pytest.mark.parametrize("after, status", [
+    ({"x": [0.0, 1.0], "y": [2.0]}, 0),
+    ({"x": [0.0, 1.0 + 2 ** -52], "y": [2.0]}, 1),
+    ({"x": [0.0, 1.0], "y": [2.0, 2.0]}, 1),
+    ({"x": [0.0, 1.0]}, 1),
+    ({"x": [0.0, 1.0], "y": [2.0], "z": [3.0]}, 1)],
+    ids=["identical", "differs", "shape", "only before", "only after"])
+def test_compare_exit_status(tmp_path, capsys, after, status):
+    np.savez(tmp_path / "before.npz", x=[0.0, 1.0], y=[2.0])
+    np.savez(tmp_path / "after.npz", **after)
+    with pytest.raises(SystemExit) as exc:
+        probe.main(["--compare", str(tmp_path / "before.npz"),
+                    str(tmp_path / "after.npz")])
+    assert exc.value.code == status
+    assert len(capsys.readouterr().out.splitlines()) == len({"x", "y", *after})

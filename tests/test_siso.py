@@ -159,14 +159,18 @@ class TestBcjrProperties:
                 bcjr_extrinsic(sp, observations=np.zeros(8),
                                prior=np.zeros(4), sigma2=sigma2)
             with pytest.raises(ValueError, match="sigma2"):
-                map_lut(codes.build_4b6b(), np.zeros(6), sigma2=sigma2)
+                map_lut(codes.build_4b6b(), np.zeros(6), np.zeros(4),
+                        sigma2=sigma2)
             with pytest.raises(ValueError, match="sigma2"):
-                map_lut(codes.build_manchester(), np.zeros(4), sigma2=sigma2)
+                map_lut(codes.build_manchester(), np.zeros(4), np.zeros(2),
+                        sigma2=sigma2)
         # fewer observations than one section: still checked
         with pytest.raises(ValueError, match="observations"):
-            bcjr_extrinsic(sp, observations=None, sigma2=1.0)
+            bcjr_extrinsic(sp, observations=None, prior=np.zeros(0),
+                           sigma2=1.0)
         with pytest.raises(ValueError, match="lengths"):
-            bcjr_extrinsic(sp, observations=np.zeros(1), sigma2=1.0)
+            bcjr_extrinsic(sp, observations=np.zeros(1), prior=np.zeros(0),
+                           sigma2=1.0)
         with pytest.raises(ValueError, match="sigma2"):
             bcjr_extrinsic(sp, observations=np.zeros(0), prior=np.zeros(0),
                            sigma2=np.nan)
@@ -607,7 +611,8 @@ class TestNumericalContract:
         y = codes.encode(sp, v).astype(float)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            le = bcjr_extrinsic(sp, observations=y, sigma2=1e-6)
+            le = bcjr_extrinsic(sp, observations=y, prior=np.zeros(v.shape),
+                                sigma2=1e-6)
         np.testing.assert_array_equal(le, np.where(v == 1, siso.LLR_SAT,
                                                    -siso.LLR_SAT))
 
@@ -621,7 +626,8 @@ class TestNumericalContract:
         y = codes.encode(bmc, v) + rng.normal(0, 1e-3, (2, 406))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            le = bcjr_extrinsic(bmc, observations=y, sigma2=1e-6)
+            le = bcjr_extrinsic(bmc, observations=y,
+                                prior=np.zeros(v.shape), sigma2=1e-6)
         np.testing.assert_array_equal(le, np.where(v == 1, siso.LLR_SAT,
                                                    -siso.LLR_SAT))
 
@@ -636,7 +642,7 @@ class TestNumericalContract:
             with pytest.raises(ValueError,
                                match=r"bmc BCJR .* sigma2=1e-06.* underflowed"):
                 bcjr_extrinsic(bmc, observations=np.ones((2, 406)),
-                               sigma2=1e-6)
+                               prior=np.zeros((2, 203)), sigma2=1e-6)
 
 
 class TestLogSumExp:
@@ -670,7 +676,7 @@ class TestManchesterMap:
         v = rng.integers(0, 2, n)
         manchester = codes.build_manchester()
         y = codes.encode_lut(manchester, v) + rng.normal(0, 0.7, 2 * n)
-        got = map_lut(manchester, y, sigma2=0.49)[0]
+        got = map_lut(manchester, y, np.zeros(n), sigma2=0.49)[0]
         want = oracles.exhaustive_manchester_extrinsic(y, np.zeros(n), 0.49)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -702,10 +708,10 @@ class TestLutMap:
         rng = np.random.default_rng(20)
         v = rng.integers(0, 2, 16)
         y = codes.encode_lut(lut, v).astype(float)
-        le = map_lut(lut, y, sigma2=1e-4)[0]
+        le = map_lut(lut, y, np.zeros(16), sigma2=1e-4)[0]
         assert ((le > 0).astype(int) == v).all()
 
     def test_framing_mismatch(self):
         lut = codes.build_4b6b()
         with pytest.raises(ValueError):
-            map_lut(lut, np.zeros(10), sigma2=1.0)
+            map_lut(lut, np.zeros(10), np.zeros(4), sigma2=1.0)

@@ -20,7 +20,8 @@ same numbers must print the same file.  It records
 A digest tells only that an output changed.  --save also keeps those
 decoder outputs in an .npz file, and --compare reads two such files and
 prints, per output, "identical" or the largest absolute difference, which
-tells rounding (about 1e-15) from a changed metric.
+tells rounding (about 1e-15) from a changed metric.  It exits with status
+1 if any output differs, changes shape or is in one file only, else 0.
 
 --fixture writes the simulate_point records and run_threshold results,
 without the decoder digests, to the file tests/test_same_numbers.py
@@ -142,8 +143,10 @@ def decoder_outputs() -> dict:
     return out
 
 
-def compare(before: str, after: str) -> None:
-    """Print each saved output's largest absolute difference."""
+def compare(before: str, after: str) -> bool:
+    """Print each saved output's largest absolute difference; True if
+    every output is in both files and identical."""
+    same = True
     with np.load(before) as a, np.load(after) as b:
         for name in sorted(set(a.files) | set(b.files)):
             if name not in a.files or name not in b.files:
@@ -153,12 +156,15 @@ def compare(before: str, after: str) -> None:
                 print(f"{name}: shape {a[name].shape} -> {b[name].shape}")
             elif np.array_equal(a[name], b[name]):
                 print(f"{name}: identical")
+                continue
             else:
                 print(f"{name}: max |delta| = "
                       f"{np.max(np.abs(a[name] - b[name])):.3g}")
+            same = False
+    return same
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="NPZ",
                         help="also keep the decoder outputs in this file")
@@ -167,10 +173,9 @@ def main() -> None:
     parser.add_argument("--fixture", metavar="JSON",
                         help="write the records and thresholds only to this "
                              "file and exit")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return
+        sys.exit(0 if compare(*args.compare) else 1)
     if args.fixture:
         with open(args.fixture, "w") as f:
             json.dump(fixture(), f, indent=1)
