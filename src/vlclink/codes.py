@@ -288,11 +288,12 @@ class PuncturePattern:
     keep: np.ndarray            # (streams, period) bool
 
     def __post_init__(self):
-        keep = np.asarray(self.keep, dtype=bool)
+        keep = np.array(self.keep, dtype=bool)
         if keep.ndim != 2:
             raise ValueError("keep must be 2-D")
         if not keep.any(axis=0).all():
             raise ValueError("every column must keep at least one bit")
+        keep.flags.writeable = False            # patterns are shared
         object.__setattr__(self, "keep", keep)
 
     @property

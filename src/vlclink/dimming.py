@@ -28,16 +28,17 @@ class DimmingConfig:
     data_slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pp = np.asarray(self.puncture_positions, dtype=np.int64)
-        ip = np.asarray(self.insertion_positions, dtype=np.int64)
-        object.__setattr__(self, "puncture_positions", pp)
-        object.__setattr__(self, "insertion_positions", ip)
+        pp = np.array(self.puncture_positions, dtype=np.int64)
+        ip = np.array(self.insertion_positions, dtype=np.int64)
         if pp.size != ip.size:
             raise ValueError("puncture and insertion counts differ")
         keep = np.setdiff1d(np.arange(self.frame_len), pp)
         slots = np.setdiff1d(np.arange(self.frame_len), ip)
-        object.__setattr__(self, "kept_positions", keep)
-        object.__setattr__(self, "data_slots", slots)
+        for name, arr in (("puncture_positions", pp),
+                          ("insertion_positions", ip),
+                          ("kept_positions", keep), ("data_slots", slots)):
+            arr.flags.writeable = False         # chains are shared
+            object.__setattr__(self, name, arr)
 
     @property
     def p(self) -> int:

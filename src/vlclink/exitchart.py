@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import codes, pipeline
 from .channel import check_sigma2, ook_modulate
@@ -33,12 +32,15 @@ _HERM_X, _HERM_W = np.polynomial.hermite.hermgauss(96)
 
 
 def j_function(sigma_a: float) -> float:
-    """Mutual information of a Gaussian-consistent LLR with std sigma_a."""
+    """Mutual information of a Gaussian-consistent LLR with std sigma_a:
+    1.0, the limit, at +inf; a negative or NaN sigma_a raises."""
     s = float(sigma_a)
-    if s < 0:
-        raise ValueError("sigma_a must be >= 0")
+    if not s >= 0:                      # also true for NaN
+        raise ValueError(f"sigma_a must be >= 0, got {sigma_a!r}")
     if s == 0.0:
         return 0.0
+    if s == np.inf:
+        return 1.0
     # L = s^2/2 + s * z, z ~ N(0,1); E[] by Gauss-Hermite (z = sqrt(2) x)
     l_vals = s * s / 2.0 + s * np.sqrt(2.0) * _HERM_X
     integrand = np.logaddexp(0.0, -l_vals) / LN2
@@ -46,19 +48,22 @@ def j_function(sigma_a: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-@lru_cache(maxsize=1)
-def _j_inverse_table():
-    sig = np.linspace(0.0, 14.0, 4096)
-    i_vals = np.array([j_function(s) for s in sig])
-    keep = np.concatenate([[True], np.diff(i_vals) > 1e-12])
-    return PchipInterpolator(i_vals[keep], sig[keep])
-
-
+@lru_cache(maxsize=256)
 def j_inverse(i: float) -> float:
-    """Numerical inverse of j_function on [0, 1)."""
+    """Inverse of j_function on [0, 1): 0.0 at i = 0 (no prior drawn),
+    else the double s with j_function(previous double) < i <= j_function(s),
+    by bisection to adjacent doubles (about 60 j_function calls; cached)."""
     if not 0.0 <= i < 1.0:
         raise ValueError("mutual information must be in [0, 1)")
-    return float(_j_inverse_table()(i))
+    if i == 0.0:
+        return 0.0
+    lo, hi = 0.0, 20.0          # j_function(lo) < i <= j_function(hi) == 1
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        if j_function(mid) < i:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

@@ -68,7 +68,10 @@ class Interleaver:
     inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "inv", np.argsort(self.perm))
+        perm = np.array(self.perm)
+        for name, arr in (("perm", perm), ("inv", np.argsort(perm))):
+            arr.flags.writeable = False         # chains are shared
+            object.__setattr__(self, name, arr)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[..., self.perm]

@@ -352,3 +352,14 @@ class TestPuncture:
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError):
             PuncturePattern(keep=np.array([[True, False], [True, False]]))
+
+    @pytest.mark.parametrize("pattern", [RATE_23_PUNCTURE, NO_PUNCTURE])
+    def test_shared_pattern_read_only(self, pattern):
+        with pytest.raises(ValueError, match="read-only"):
+            pattern.keep[0, 0] = True       # the value it holds
+
+    def test_pattern_copies_keep(self):
+        keep = np.ones((2, 2), dtype=bool)
+        pattern = PuncturePattern(keep=keep)
+        keep[1, 1] = False
+        assert pattern.kept_per_period == 4 and keep.flags.writeable

@@ -3,7 +3,8 @@ import pytest
 
 from vlclink import codes
 from vlclink.codes import FramingError
-from vlclink.dimming import dim_decode, dim_encode, plan_dimming
+from vlclink.dimming import (DimmingConfig, dim_decode, dim_encode,
+                             plan_dimming)
 from vlclink.siso import bcjr_extrinsic
 
 import oracles
@@ -24,6 +25,21 @@ def test_plan_counts_d60():
     pp = cfg.puncture_positions.reshape(-1, 2)
     assert (pp[:, 1] == pp[:, 0] + 1).all()
     assert (pp[:, 0] % 2 == 0).all()
+
+
+def test_plan_arrays_read_only_copies():
+    cfg = plan_dimming(1000, 0.6)
+    for name in ("puncture_positions", "insertion_positions",
+                 "kept_positions", "data_slots"):
+        a = getattr(cfg, name)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    pp, ip = np.array([0, 1]), np.array([0, 3])
+    cfg = DimmingConfig(frame_len=4, puncture_positions=pp,
+                        insertion_positions=ip, compensation_value=1)
+    pp[0], ip[0] = 2, 1
+    assert cfg.puncture_positions.tolist() == [0, 1]
+    assert cfg.insertion_positions.tolist() == [0, 3]
 
 
 def test_plan_counts_d40():

@@ -30,6 +30,40 @@ class TestJFunction:
         with pytest.raises(ValueError):
             ex.j_function(-1.0)
 
+    def test_nan_rejected_inf_is_the_limit(self):
+        with pytest.raises(ValueError, match="sigma_a"):
+            ex.j_function(np.nan)
+        assert ex.j_function(np.inf) == 1.0
+
+    def test_inverse_is_exact(self):
+        rng = np.random.default_rng(5)
+        for i in [*ex.DEFAULT_GRID[1:], *rng.uniform(0.0, 1.0, 8),
+                  np.nextafter(1.0, 0.0)]:
+            s = ex.j_inverse(float(i))
+            assert ex.j_function(np.nextafter(s, 0.0)) < i \
+                <= ex.j_function(s), i
+
+    def test_inverse_of_zero_draws_no_prior(self):
+        assert ex.j_inverse(0.0) == 0.0
+        draws = ex._draw_inner("split-phase", ex.DEFAULT_GRID, 600, 1)
+        assert ex.DEFAULT_GRID[0] == 0.0
+        assert (draws.priors[0] == 0.0).all()
+
+    def test_inverse_cached_per_value(self, monkeypatch):
+        calls = []
+        j_function = ex.j_function
+
+        def counted(sigma_a):
+            calls.append(sigma_a)
+            return j_function(sigma_a)
+        monkeypatch.setattr(ex, "j_function", counted)
+        ex.j_inverse.cache_clear()
+        ex.inner_curve("manchester", 0.5, samples=256)
+        assert calls
+        calls.clear()
+        ex.inner_curve("manchester", 0.5, samples=256)
+        assert calls == []
+
 
 class TestMeasureMi:
 

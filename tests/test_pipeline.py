@@ -25,6 +25,15 @@ class TestInterleaver:
         il = make_interleaver(32768, seed=1)
         assert np.sort(il.perm).tolist() == list(range(32768))
 
+    def test_read_only_copy(self):
+        perm = np.array([2, 0, 1])
+        il = pipeline.Interleaver(perm=perm)
+        perm[0] = 0
+        assert il.perm.tolist() == [2, 0, 1] and il.inv.tolist() == [1, 2, 0]
+        for a in (il.perm, il.inv):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
 
 def full_size_chains():
     """The four overall-rate-1/3 schemes at full operating size, plus the
