@@ -10,9 +10,11 @@ same numbers must print the same file.  It records
 - simulate_point records, floats by float.hex and the wall time dropped,
   at the benchmark's desk and dim60 settings and at small cc-bmc,
   cc-4b6b and cc-manchester points, each at batch 1, 3 and 8;
-- run_threshold at seed 1 with 5000 samples, at seed 2 with 2000 and at
+- run_threshold at seed 1 with 5000 samples, at seed 2 with 2000, at
   seed 3 with 12 800, whose 50 blocks per EXIT grid point are more than
-  one inner-decoder call takes (its schemes and floats by float.hex);
+  one inner-decoder call takes, and at seed 4 with 2000 and
+  threshold_hi_db = 4.0, where split-phase and BMC find no threshold (its
+  schemes and floats by float.hex);
 - SHA-256 digests of the bytes of bcjr_forward_backward's alpha and beta
   and of bcjr_extrinsic, bcjr_decode and map_lut outputs, on fixed
   random inputs at long, medium, wide and short shapes.
@@ -60,8 +62,9 @@ BATCHES = (1, 3, 8)
 INNER_SHAPES = ((8, 8193), (8, 1028), (20, 256), (2, 7))
 OUTER_SHAPES = ((8, 5462), (8, 514), (26, 130), (3, 203))
 LUT_SHAPES = ((8, 1366), (40, 64), (2, 3))
-# (seed, EXIT samples) of the threshold searches
-THRESHOLD_SETTINGS = ((1, 5000), (2, 2000), (3, 12_800))
+# (seed, EXIT samples, other config keys) of the threshold searches
+THRESHOLD_SETTINGS = ((1, 5000, {}), (2, 2000, {}), (3, 12_800, {}),
+                      (4, 2000, {"threshold_hi_db": 4.0}))
 
 
 def _plain(value):
@@ -89,12 +92,15 @@ def ber_records() -> dict:
 
 
 def thresholds() -> dict:
-    """run_threshold's results, "seed <s>, <n> samples" -> scheme -> fields."""
+    """run_threshold's results, "seed <s>, <n> samples[, <key> <value>]"
+    -> scheme -> fields."""
     out = {}
-    for seed, samples in THRESHOLD_SETTINGS:
+    for seed, samples, keys in THRESHOLD_SETTINGS:
         cfg = harness.load_config(None, overrides={"exit_samples": samples,
-                                                   "seed": seed})
-        out[f"seed {seed}, {samples} samples"] = {
+                                                   "seed": seed, **keys})
+        setting = f"seed {seed}, {samples} samples" + "".join(
+            f", {k} {v}" for k, v in keys.items())
+        out[setting] = {
             scheme: {k: _plain(v) for k, v in
                      dataclasses.asdict(res).items()}
             for scheme, res in harness.run_threshold(cfg).items()}
