@@ -39,8 +39,13 @@ def ebn0_to_sigma2(ebn0_db: float, rate: float, es: float) -> float:
     Convention: energy per info bit Eb = Es / rate, N0 = 2 sigma^2, so
     sigma^2 = Es / (2 * rate * 10^(ebn0_db/10)).  Es is the mean energy per
     channel use of the {0,1} constellation at the configured dimming
-    (0.5 at 50% dimming).
+    (0.5 at 50% dimming).  ebn0_db must be finite, and rate and es
+    positive and finite; a ValueError names the argument that is not.
     """
-    if rate <= 0 or es <= 0:
-        raise ValueError("rate and es must be positive")
+    if not np.isfinite(ebn0_db):
+        raise ValueError(f"ebn0_db must be finite, got {ebn0_db}")
+    for name, value in (("rate", rate), ("es", es)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value}")
     return es / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))

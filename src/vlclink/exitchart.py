@@ -192,43 +192,51 @@ def _draw_inner(inner: str, grid: np.ndarray, samples,
     return _InnerDraws(inner, grid, messages, lines, noise, priors)
 
 
-# Blocks per inner-decoder call when _inner_at decodes several small grid
-# points together.  A call of one point at 5000 samples, 20 blocks x 256
-# bits, is mostly fixed cost.  On a 2-core 2.0 GHz Xeon VM (median of 15
-# interleaved rounds), a threshold evaluation's 420 such blocks,
-# decoded in calls of 40 (48), took 0.73x (0.64x) the time of calls of 20
-# for split-phase, 0.68x (0.63x) for BMC and 0.85x (0.78x) for 4B6B.  In
-# calls of all 420 they took 0.79x, 0.76x and 1.45x: the working set left
-# the 2 MB L2 cache (a 20-block split-phase call allocates 0.9 MB at its
-# peak).  Split-phase/BMC calls of 2 to 55 blocks of 256 bits take the same
-# chunk plan, and blocks are independent, so grouping changes no number
-# above 256 samples.  A point of more than half this budget is decoded
-# alone, at its own shape.
+# Blocks per inner-decoder call when several small grid points are decoded
+# together.  A call of one point at 5000 samples, 20 blocks x 256 bits, is
+# mostly fixed cost.  On a 2-core 2.0 GHz Xeon VM (median of 15
+# interleaved rounds), the 420 such blocks of one evaluation of the 21
+# DEFAULT_GRID points, decoded in calls of 40 (48), took 0.73x (0.64x) the
+# time of calls of 20 for split-phase, 0.68x (0.63x) for BMC and 0.85x
+# (0.78x) for 4B6B.  In calls of all 420 they took 0.79x, 0.76x and 1.45x:
+# the working set left the 2 MB L2 cache (a 20-block split-phase call
+# allocates 0.9 MB at its peak).  Split-phase/BMC calls of 2 to 55 blocks
+# of 256 bits take the same chunk plan, and blocks are independent, so
+# grouping changes no number above 256 samples.  A point of more than half
+# this budget is decoded alone, at its own shape.
 _ROWS_PER_CALL = 48
 
 
-def _inner_at(draws: _InnerDraws, sigma2: float,
-              ebn0_db: float | None = None) -> ExitCurve:
-    """The inner curve of `draws` at noise variance sigma2: each point
-    decodes y = line + sqrt(sigma2) * noise and measures its extrinsic
-    mutual information.  Points of few blocks are decoded together,
-    max(1, _ROWS_PER_CALL // blocks) whole points per decoder call, and
-    each is measured on its own rows."""
+def _decode_points(draws: _InnerDraws, sigma2: float, order: np.ndarray):
+    """Decode the grid points of `draws` at noise variance sigma2 in
+    `order`, max(1, _ROWS_PER_CALL // blocks) whole points per inner-decoder
+    call.  Each point decodes y = line + sqrt(sigma2) * noise and measures
+    its extrinsic mutual information on its own rows.  Yields, per call,
+    the indices of its points and their values, so a caller can stop
+    between calls."""
     check_sigma2(sigma2)
     code = pipeline.INNER_CODES[draws.inner]
     scale = np.sqrt(sigma2)
     npoints, nblocks, n0 = draws.messages.shape
     per_call = max(1, _ROWS_PER_CALL // nblocks)
-    values = []
     for first in range(0, npoints, per_call):
-        group = slice(first, first + per_call)
-        y = ook_modulate(draws.lines[group]) + scale * draws.noise[group]
+        points = order[first:first + per_call]
+        y = ook_modulate(draws.lines[points]) + scale * draws.noise[points]
         ext = code.extrinsic(y.reshape(-1, y.shape[-1]),
-                             draws.priors[group].reshape(-1, n0), sigma2)
-        values += [measure_mi(e, v) for e, v in
-                   zip(ext.reshape(-1, nblocks, n0), draws.messages[group])]
+                             draws.priors[points].reshape(-1, n0), sigma2)
+        yield points, np.array([measure_mi(e, v) for e, v in zip(
+            ext.reshape(-1, nblocks, n0), draws.messages[points])])
+
+
+def _inner_at(draws: _InnerDraws, sigma2: float,
+              ebn0_db: float | None = None) -> ExitCurve:
+    """The inner curve of `draws` at noise variance sigma2: every point
+    decoded, in grid order (`_decode_points`)."""
+    npoints, nblocks, n0 = draws.messages.shape
+    values = [v for _, v in _decode_points(draws, sigma2,
+                                           np.arange(npoints))]
     return ExitCurve(component=f"inner:{draws.inner}", ebn0_db=ebn0_db,
-                     grid=draws.grid, values=np.array(values),
+                     grid=draws.grid, values=np.concatenate(values),
                      samples_per_point=nblocks * n0)
 
 
@@ -291,16 +299,21 @@ class ThresholdResult:
     found: bool
 
 
-def _tunnel_gap(inner: ExitCurve, outer: ExitCurve, eps: float) -> float:
-    """Minimum of inner(I) - outer^{ -1 }(I) over I in [0, 1 - eps]."""
-    sel = inner.grid <= 1.0 - eps + 1e-12
-    i_pts = inner.grid[sel]
-    inner_vals = inner.values[sel]
+def _point_gaps(grid: np.ndarray, inner_values: np.ndarray,
+                outer: ExitCurve) -> np.ndarray:
+    """inner(I) - outer^{ -1 }(I) at each prior MI I of `grid`."""
     # invert the (monotone) outer curve; below its range no prior is needed
     ov, og = outer.values, outer.grid
     order = np.argsort(ov)
-    inv = np.interp(i_pts, ov[order], og[order], left=0.0, right=1.0)
-    return float(np.min(inner_vals - inv))
+    return inner_values - np.interp(grid, ov[order], og[order], left=0.0,
+                                    right=1.0)
+
+
+def _tunnel_gap(inner: ExitCurve, outer: ExitCurve, eps: float) -> float:
+    """Minimum of inner(I) - outer^{ -1 }(I) over I in [0, 1 - eps]."""
+    sel = inner.grid <= 1.0 - eps + 1e-12
+    return float(np.min(_point_gaps(inner.grid[sel], inner.values[sel],
+                                    outer)))
 
 
 def find_threshold(chain: pipeline.ChainConfig,
@@ -310,13 +323,26 @@ def find_threshold(chain: pipeline.ChainConfig,
                    seed: int = 0) -> ThresholdResult:
     """Smallest Eb/N0 with an open decoding tunnel, to within resolution_db.
 
-    The tunnel must be open on DEFAULT_GRID up to I = 0.99.  Bisection
-    over Eb/N0 with common random numbers: the inner curve's messages,
-    line bits, unit-variance noise and priors are drawn once per search
-    (`_draw_inner`), and each Eb/N0 visited only rescales the noise
-    (`_inner_at`), so every point measures exactly the curve inner_curve
-    would.  The result is the open end of the last bracket, whose closed
-    end lies less than resolution_db below it; it is a bisection point
+    The tunnel must be open on DEFAULT_GRID up to I = 0.99: its gap
+    inner(I) - outer^{ -1 }(I) must be positive at each of those 20 points
+    (`_tunnel_gap` with eps = 0.01); the 0.999 point is neither drawn nor
+    decoded.  Bisection over Eb/N0 with common random numbers: the inner
+    curve's messages, line bits, unit-variance noise and priors are drawn
+    once per search (`_draw_inner`, on the points' own (seed, point index)
+    streams), and each Eb/N0 visited only rescales the noise, so every
+    point decoded measures exactly the value inner_curve would.
+
+    A bisection step needs only the sign of the minimum gap, and one
+    closed point settles it.  So each Eb/N0 decodes one inner-decoder call
+    at a time (`_decode_points`) and stops after the first call that holds
+    a gap <= 0.  The points go in ascending order of their gap at the
+    nearest Eb/N0 already decoded in full, so the pinch point comes first
+    (grid order before any).  An open Eb/N0 is always decoded in full, and
+    a closed hi_db is finished before it is reported, so every reported
+    tunnel_min_gap is the minimum over all 20 points.
+
+    The result is the open end of the last bracket, whose closed end lies
+    less than resolution_db below it; it is a bisection point
     lo_db + (hi_db - lo_db) m / 2^j, not a multiple of resolution_db
     (4.734375 dB = 2 + 5 * 70/128 for split-phase at seed 1 with 5000
     samples and the default bracket).  If lo_db is already open it is the
@@ -333,28 +359,43 @@ def find_threshold(chain: pipeline.ChainConfig,
     if lo_db >= hi_db:
         raise ValueError(f"lo_db={lo_db} must lie below hi_db={hi_db}")
 
-    draws = _draw_inner(chain.inner, DEFAULT_GRID, samples, seed)
-    gaps = {}
+    grid = DEFAULT_GRID[DEFAULT_GRID <= 0.99]
+    draws = _draw_inner(chain.inner, grid, samples, seed)
+    complete = {}       # Eb/N0 -> the gap at every point, all decoded
 
-    def gap_at(ebn0):
-        if ebn0 not in gaps:
-            c = _inner_at(draws, chain.sigma2(ebn0), ebn0_db=ebn0)
-            gaps[ebn0] = _tunnel_gap(c, outer_curve_measured, 0.01)
-        return gaps[ebn0]
+    def gap_at(ebn0, finish=False):
+        """The minimum gap at ebn0 if it is open or `finish`; else the
+        least gap, <= 0, of the call that found it closed."""
+        if complete:
+            near = min(complete, key=lambda e: abs(e - ebn0))
+            order = np.argsort(complete[near], kind="stable")
+        else:
+            order = np.arange(len(grid))
+        gaps = np.empty(len(grid))
+        for points, values in _decode_points(draws, chain.sigma2(ebn0),
+                                             order):
+            gaps[points] = _point_gaps(grid[points], values,
+                                       outer_curve_measured)
+            if not finish and (gaps[points] <= 0).any():
+                return float(gaps[points].min())
+        complete[ebn0] = gaps
+        return float(gaps.min())
 
-    if gap_at(lo_db) > 0:
-        return ThresholdResult(lo_db, gap_at(lo_db), resolution_db, True)
-    if gap_at(hi_db) <= 0:
-        return ThresholdResult(None, gap_at(hi_db), resolution_db, False)
+    gap = gap_at(lo_db)
+    if gap > 0:
+        return ThresholdResult(lo_db, gap, resolution_db, True)
+    hi_gap = gap_at(hi_db, finish=True)
+    if hi_gap <= 0:
+        return ThresholdResult(None, hi_gap, resolution_db, False)
     lo, hi = lo_db, hi_db
     while hi - lo > resolution_db + 1e-9:
         mid = (lo + hi) / 2.0
-        if gap_at(mid) > 0:
-            hi = mid
+        gap = gap_at(mid)
+        if gap > 0:
+            hi, hi_gap = mid, gap
         else:
             lo = mid
-    star = hi
-    return ThresholdResult(star, gap_at(star), resolution_db, True)
+    return ThresholdResult(hi, hi_gap, resolution_db, True)
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,21 @@ def test_monotone_in_ebn0():
 
 
 def test_parameter_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rate must be positive"):
         ebn0_to_sigma2(1.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="es must be positive"):
         ebn0_to_sigma2(1.0, 0.5, -1.0)
     for sigma2 in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             awgn(np.zeros(4), sigma2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["ebn0_db", "rate", "es"])
+def test_nonfinite_argument_rejected(name, value):
+    """A NaN or infinite argument raises a ValueError naming it, where it
+    used to give NaN, 0.0 or a ZeroDivisionError."""
+    args = dict(ebn0_db=3.0, rate=0.5, es=0.5)
+    args[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ebn0_to_sigma2(**args)

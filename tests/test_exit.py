@@ -283,20 +283,21 @@ class TestOneEncoderCall:
 
 
 @pytest.fixture
-def decoder_priors(monkeypatch):
-    """The priors of every inner-decoder call made while the test runs."""
-    priors = []
+def decoder_calls(monkeypatch):
+    """(sigma2, prior) of every inner-decoder call made while the test
+    runs."""
+    calls = []
 
     def trellis_spy(*args, _fn=siso.bcjr_extrinsic, **kwargs):
-        priors.append(kwargs["prior"])
+        calls.append((kwargs["sigma2"], kwargs["prior"]))
         return _fn(*args, **kwargs)
 
     def lut_spy(spec, y, prior, _fn=siso.map_lut, **kwargs):
-        priors.append(prior)
+        calls.append((kwargs["sigma2"], prior))
         return _fn(spec, y, prior, **kwargs)
     monkeypatch.setattr(siso, "bcjr_extrinsic", trellis_spy)
     monkeypatch.setattr(siso, "map_lut", lut_spy)
-    return priors
+    return calls
 
 
 class TestGroupedCalls:
@@ -307,17 +308,17 @@ class TestGroupedCalls:
     @pytest.mark.parametrize("inner", sorted(INNER_CODES))
     @pytest.mark.parametrize("samples, blocks, merged",
                              [(5000, 20, True), (20_000, 79, False)])
-    def test_call_structure(self, decoder_priors, inner, samples, blocks,
+    def test_call_structure(self, decoder_calls, inner, samples, blocks,
                             merged):
         draws = ex._draw_inner(inner, ex.DEFAULT_GRID, samples, 1)
         points = len(ex.DEFAULT_GRID)
         per_call = max(1, ex._ROWS_PER_CALL // blocks)
         assert (per_call > 1) == merged
-        decoder_priors.clear()
+        decoder_calls.clear()
         ex._inner_at(draws, 0.3)
-        assert len(decoder_priors) == -(-points // per_call)
+        assert len(decoder_calls) == -(-points // per_call)
         first = 0
-        for prior in decoder_priors:
+        for _, prior in decoder_calls:
             assert len(prior) % blocks == 0
             assert len(prior) <= max(blocks, ex._ROWS_PER_CALL)
             last = first + len(prior) // blocks
@@ -345,6 +346,7 @@ class TestThreshold:
         assert ex._tunnel_gap(below, outer, 0.01) <= 0
 
     def test_not_found_reported(self):
+        """A closed hi_db reports its gap over every point up to 0.99."""
         chain = make_chain("cc-split-phase", 64)
         outer = ex.outer_curve(chain.outer, chain.puncture, samples=20000,
                                seed=9)
@@ -352,23 +354,93 @@ class TestThreshold:
                                 resolution_db=0.25, samples=20000, seed=9)
         assert not res.found
         assert res.ebn0_db_star is None
+        curve = ex.inner_curve(chain.inner, chain.sigma2(0.0),
+                               samples=20000, seed=9)
+        assert res.tunnel_min_gap == ex._tunnel_gap(curve, outer, 0.01) <= 0
 
-    def test_each_point_measured_once(self, monkeypatch):
+    def test_open_lo_reported(self):
+        """An open lo_db is the threshold, with its full minimum gap."""
         chain = make_chain("cc-split-phase", 64)
-        outer = ex.outer_curve(chain.outer, chain.puncture, samples=2000,
-                               seed=10)
-        measured = []
-        inner_at = ex._inner_at
+        outer = ex.outer_curve(chain.outer, chain.puncture, samples=20000,
+                               seed=9)
+        res = ex.find_threshold(chain, outer, lo_db=6.0, hi_db=7.0,
+                                resolution_db=0.25, samples=20000, seed=9)
+        assert res.found
+        assert res.ebn0_db_star == 6.0
+        curve = ex.inner_curve(chain.inner, chain.sigma2(6.0),
+                               samples=20000, seed=9)
+        assert res.tunnel_min_gap == ex._tunnel_gap(curve, outer, 0.01) > 0
 
-        def counted(*args, **kwargs):
-            measured.append(kwargs["ebn0_db"])
-            return inner_at(*args, **kwargs)
-        monkeypatch.setattr(ex, "_inner_at", counted)
-        for lo, hi in ((3.0, 6.5), (-2.0, 0.0), (6.0, 7.0)):
-            measured.clear()
-            ex.find_threshold(chain, outer, lo_db=lo, hi_db=hi,
-                              resolution_db=0.25, samples=2000, seed=10)
-            assert len(measured) == len(set(measured))
+    @pytest.mark.parametrize("lo, hi", [(3.0, 6.5), (-2.0, 0.0), (6.0, 7.0)])
+    @pytest.mark.parametrize("inner", sorted(INNER_CODES))
+    def test_decoder_calls(self, monkeypatch, decoder_calls, inner, lo, hi):
+        """Each Eb/N0 decodes whole grid points, none twice and never the
+        0.999 point, in ascending order of their gap at the nearest Eb/N0
+        decoded in full (grid order before any).  An open Eb/N0 and a
+        reported closed hi_db decode every point; any other closed Eb/N0
+        stops after the call that holds its first closed point."""
+        chain = make_chain(f"cc-{inner}", 64)
+        samples, seed = 2000, 10
+        outer = ex.outer_curve(chain.outer, chain.puncture, samples=samples,
+                               seed=seed)
+        res, visited = _threshold_per_point(chain, outer, lo, hi, 0.25,
+                                            samples, seed)
+        top = len(ex.DEFAULT_GRID) - 1          # the 0.999 point
+        # the gap at every visited point up to 0.99, and the point of each
+        # block of priors
+        point_gaps = {}
+        for ebn0 in visited:
+            curve = ex.inner_curve(chain.inner, chain.sigma2(ebn0),
+                                   samples=samples, seed=seed)
+            point_gaps[ebn0] = np.array([
+                ex._tunnel_gap(ex.ExitCurve("inner", ebn0, [i], [v], samples),
+                               outer, 0.01)
+                for i, v in zip(curve.grid[:top], curve.values[:top])])
+        draws = ex._draw_inner(chain.inner, ex.DEFAULT_GRID, samples, seed)
+        nblocks = draws.priors.shape[1]
+        point_of = {p.tobytes(): i for i, p in enumerate(draws.priors)}
+        drawn = []                              # sigma_a of each point drawn
+
+        def counted(truth, sigma_a, rng, _fn=ex.sample_priors):
+            drawn.append(sigma_a)
+            return _fn(truth, sigma_a, rng)
+        monkeypatch.setattr(ex, "sample_priors", counted)
+
+        decoder_calls.clear()
+        assert ex.find_threshold(chain, outer, lo_db=lo, hi_db=hi,
+                                 resolution_db=0.25, samples=samples,
+                                 seed=seed) == res
+        assert len(drawn) == top
+        assert ex.j_inverse(float(ex.DEFAULT_GRID[top])) not in drawn
+        ebn0_of = {chain.sigma2(e): e for e in visited}
+        calls = []                              # (Eb/N0, [points]) per call
+        for sigma2, prior in decoder_calls:
+            calls.append((ebn0_of[sigma2], [
+                point_of[b.tobytes()] for b in prior.reshape(
+                    -1, nblocks, prior.shape[-1])]))
+        assert [e for e, _ in calls] == sorted(
+            (e for e, _ in calls), key=list(visited).index)
+        assert {e for e, _ in calls} == visited.keys()
+
+        full = []                               # Eb/N0s decoded in full
+        for ebn0 in visited:
+            per_call = [p for e, p in calls if e == ebn0]
+            order = [i for p in per_call for i in p]
+            assert top not in order
+            assert len(order) == len(set(order)), ebn0
+            gaps = point_gaps[ebn0]
+            if full:
+                near = min(full, key=lambda e: abs(e - ebn0))
+                want = np.argsort(point_gaps[near], kind="stable")
+            else:
+                want = np.arange(top)
+            assert order == want[:len(order)].tolist(), ebn0
+            if visited[ebn0] > 0 or (ebn0 == hi and not res.found):
+                assert sorted(order) == list(range(top)), ebn0
+                full.append(ebn0)
+            else:
+                closing = [any(gaps[i] <= 0 for i in p) for p in per_call]
+                assert closing.index(True) == len(per_call) - 1, ebn0
 
     @pytest.mark.parametrize("lo, hi", [(5.0, 5.0), (6.5, 3.0)])
     def test_inverted_bracket_rejected(self, monkeypatch, lo, hi):
@@ -436,23 +508,44 @@ class TestOneDrawPerSearch:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("inner", sorted(INNER_CODES))
     def test_gaps_match_inner_curve(self, monkeypatch, inner, seed):
+        """The result is the per-point reference's.  Every point the search
+        decodes has inner_curve's value there; an open Eb/N0 decodes every
+        point up to 0.99, to the reference's minimum gap, and a closed one
+        holds a decoded gap <= 0."""
         chain = make_chain(f"cc-{inner}", 64)
         outer = ex.outer_curve(chain.outer, chain.puncture, samples=600,
                                seed=seed)
         want, want_gaps = _threshold_per_point(chain, outer, 2.0, 7.0, 0.1,
                                                600, seed)
-        measured = {}
-        tunnel_gap = ex._tunnel_gap
+        curves = {chain.sigma2(e): ex.inner_curve(chain.inner,
+                                                  chain.sigma2(e),
+                                                  samples=600, seed=seed)
+                  for e in want_gaps}
+        decoded = {}                # sigma2 -> {point index: value}
+        decode_points = ex._decode_points
 
-        def recorded(curve, outer_curve, eps):
-            measured[curve.ebn0_db] = gap = tunnel_gap(curve, outer_curve,
-                                                       eps)
-            return gap
-        monkeypatch.setattr(ex, "_tunnel_gap", recorded)
+        def recorded(draws, sigma2, order):
+            for points, values in decode_points(draws, sigma2, order):
+                decoded.setdefault(sigma2, {}).update(zip(points.tolist(),
+                                                          values))
+                yield points, values
+        monkeypatch.setattr(ex, "_decode_points", recorded)
         got = ex.find_threshold(chain, outer, lo_db=2.0, hi_db=7.0,
                                 resolution_db=0.1, samples=600, seed=seed)
-        assert measured == want_gaps
         assert got == want
+        assert decoded.keys() == curves.keys()
+        for ebn0, want_gap in want_gaps.items():
+            curve = curves[chain.sigma2(ebn0)]
+            values = decoded[chain.sigma2(ebn0)]
+            assert all(v == curve.values[i] for i, v in values.items())
+            gaps = [ex._tunnel_gap(ex.ExitCurve("inner", ebn0,
+                                                [curve.grid[i]], [v], 600),
+                                   outer, 0.01) for i, v in values.items()]
+            if want_gap > 0:
+                assert sorted(values) == list(range(len(curve.grid) - 1))
+                assert min(gaps) == want_gap, ebn0
+            else:
+                assert min(gaps) <= 0, ebn0
 
     def test_one_encoder_call_per_search(self, encoder_calls):
         for inner in INNER_CODES:
