@@ -17,7 +17,9 @@ same numbers must print the same file.  It records
   schemes and floats by float.hex);
 - SHA-256 digests of the bytes of bcjr_forward_backward's alpha and beta
   and of bcjr_extrinsic, bcjr_decode and map_lut outputs, on fixed
-  random inputs at long, medium, wide and short shapes.
+  random inputs at long, medium, wide and short shapes, and of the values
+  of EXIT curves: outer_curve for both punctures at 600, 2000 and 5000
+  samples, and one split-phase inner_curve.
 
 A digest tells only that an output changed.  --save also keeps those
 decoder outputs in an .npz file, and --compare reads two such files and
@@ -46,7 +48,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from vlclink import codes, harness, pipeline, siso  # noqa: E402
+from vlclink import (codes, exitchart, harness, pipeline,  # noqa: E402
+                     siso)
 
 # (scheme, k, iterations, Eb/N0 dB, point index, seed)
 POINTS = {
@@ -62,6 +65,9 @@ BATCHES = (1, 3, 8)
 INNER_SHAPES = ((8, 8193), (8, 1028), (20, 256), (2, 7))
 OUTER_SHAPES = ((8, 5462), (8, 514), (26, 130), (3, 203))
 LUT_SHAPES = ((8, 1366), (40, 64), (2, 3))
+# samples per grid point of the outer curves recorded: 4, 11 and 26
+# rate-2/3 blocks, 3, 8 and 20 unpunctured ones
+CURVE_SAMPLES = (600, 2000, 5000)
 # (seed, EXIT samples, other config keys) of the threshold searches
 THRESHOLD_SETTINGS = ((1, 5000, {}), (2, 2000, {}), (3, 12_800, {}),
                       (4, 2000, {"threshold_hi_db": 4.0}))
@@ -115,6 +121,7 @@ def fixture() -> dict:
 
 def decoder_outputs() -> dict:
     """Decoder outputs on fixed random inputs, "<code> <B>x<n> <what>" ->
+    array, and EXIT curve values, "<curve> [<puncture>] <samples>" ->
     array."""
     rng = np.random.default_rng(2024)
     out = {}
@@ -146,6 +153,13 @@ def decoder_outputs() -> dict:
             prior = rng.normal(0, 2.0, bits.shape)
             out[f"{spec.name} {B}x{nsym} extrinsic"] = siso.map_lut(
                 spec, y, prior, sigma2=0.36)
+    for name, puncture in (("rate-2/3", codes.RATE_23_PUNCTURE),
+                           ("rate-1/2", codes.NO_PUNCTURE)):
+        for samples in CURVE_SAMPLES:
+            out[f"outer_curve {name} {samples}"] = exitchart.outer_curve(
+                cc, puncture, samples=samples, seed=1).values
+    out["inner_curve split-phase 5000"] = exitchart.inner_curve(
+        "split-phase", 0.36, samples=5000, seed=1).values
     return out
 
 
