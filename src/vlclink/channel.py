@@ -40,7 +40,10 @@ def ebn0_to_sigma2(ebn0_db: float, rate: float, es: float) -> float:
     sigma^2 = Es / (2 * rate * 10^(ebn0_db/10)).  Es is the mean energy per
     channel use of the {0,1} constellation at the configured dimming
     (0.5 at 50% dimming).  ebn0_db must be finite, and rate and es
-    positive and finite; a ValueError names the argument that is not.
+    positive and finite; a ValueError names the argument that is not.  An
+    ebn0_db so far out that the noise variance is not positive and finite
+    (beyond about +-3080 dB at rate 1/2 and Es 1/2) raises a ValueError
+    naming ebn0_db too.
     """
     if not np.isfinite(ebn0_db):
         raise ValueError(f"ebn0_db must be finite, got {ebn0_db}")
@@ -48,4 +51,12 @@ def ebn0_to_sigma2(ebn0_db: float, rate: float, es: float) -> float:
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, "
                              f"got {value}")
-    return es / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    try:
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            sigma2 = es / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):     # Python floats raise
+        sigma2 = np.nan
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"ebn0_db={ebn0_db} gives a noise variance that is "
+                         "not positive and finite")
+    return sigma2

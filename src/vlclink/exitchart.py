@@ -11,12 +11,12 @@ with the time-average estimator.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from . import codes, pipeline
+from . import codes, pipeline, siso
 from .channel import check_sigma2, ook_modulate
 
 LN2 = np.log(2.0)
@@ -79,7 +79,8 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def measure_mi(llrs: np.ndarray, truth: np.ndarray) -> float:
-    """Time-average mutual-information estimate of an LLR sequence.
+    """Time-average mutual-information estimate of an LLR sequence: the one
+    row of measure_mi_rows on the flattened arrays.
 
     An LLR of +-inf is a saturated decision and counts as certain; a NaN
     LLR raises a ValueError.
@@ -88,14 +89,31 @@ def measure_mi(llrs: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth).ravel()
     if llrs.size != truth.size:
         raise ValueError("LLR and truth lengths differ")
-    if llrs.size == 0:
-        return 0.0
+    return float(measure_mi_rows(llrs[None], truth[None])[0])
+
+
+def measure_mi_rows(llrs: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Time-average mutual-information estimate of each row of an (R, n)
+    LLR array against the bits of `truth`, of the same shape: one _softplus
+    pass over the array and one mean per row, each row's the mean of that
+    row alone.  A row of no LLRs measures 0.
+
+    An LLR of +-inf is a saturated decision and counts as certain; a NaN
+    LLR raises a ValueError.
+    """
+    # C order, so that each row's mean sums its row as a 1-D array would
+    llrs = np.ascontiguousarray(llrs, dtype=np.float64)
+    truth = np.ascontiguousarray(truth)
+    if llrs.ndim != 2 or llrs.shape != truth.shape:
+        raise ValueError(f"LLRs of shape {llrs.shape} and truth of shape "
+                         f"{truth.shape}: both must be the same (R, n)")
+    if llrs.shape[1] == 0:
+        return np.zeros(len(llrs))
     signed = (2.0 * truth - 1.0) * llrs
-    mean = float(np.mean(_softplus(-signed)))
-    if np.isnan(mean):      # +-inf LLRs (saturated decisions) give no NaN
+    means = np.mean(_softplus(-signed), axis=1)
+    if np.isnan(means).any():   # +-inf LLRs (saturated decisions) give none
         raise ValueError("LLRs must not be NaN")
-    val = 1.0 - mean / LN2
-    return min(max(val, 0.0), 1.0)
+    return np.clip(1.0 - means / LN2, 0.0, 1.0)
 
 
 def sample_priors(truth: np.ndarray, sigma_a: float,
@@ -164,32 +182,49 @@ class _InnerDraws:
 
 def _draw_inner(inner: str, grid: np.ndarray, samples,
                 seed: int) -> _InnerDraws:
-    """Draw an inner curve's messages, line bits, noise and priors.
+    """Draw an inner curve's messages, noise and priors and encode its line
+    bits.
 
     Each grid point has its own generator, seeded by (seed, point index),
-    which draws that point's messages, then the standard-normal noise,
-    then the priors; one encoder call serves the grid.  numpy's
-    normal(0, s) is 0 + s * standard_normal on the same stream, so scaling
-    this noise by sqrt(sigma2) gives the noise channel.awgn would draw.
+    which draws that point's messages, then the standard-normal noise on
+    its line bits, then the priors; one encoder call serves the grid.
+    numpy's normal(0, s) is 0 + s * standard_normal on the same stream, so
+    scaling this noise by sqrt(sigma2) gives the noise channel.awgn would
+    draw.  The encoder draws no numbers, so the draws depend on the code
+    through its rate only (_reencoded).
     """
-    code = pipeline.INNER_CODES[inner]
+    rate = pipeline.INNER_CODES[inner].rate
     n0 = _INNER_BLOCK
     nblocks = _block_count(samples, n0)
     rngs = [np.random.default_rng([seed, gi]) for gi in range(len(grid))]
     messages = np.stack([rng.integers(0, 2, size=(nblocks, n0)).astype(
         np.uint8) for rng in rngs])
-    # the encoder draws no numbers, so each point's generator goes on to
-    # its noise and priors unchanged
-    lines = code.encode(messages.reshape(-1, n0)).reshape(
-        len(grid), nblocks, -1)
-    noise = np.empty(lines.shape)
+    noise = np.empty((len(grid), nblocks, int(n0 / rate)))
     priors = np.empty(messages.shape)
     for rng, ia, v, z, prior in zip(rngs, grid, messages, noise, priors):
         rng.standard_normal(out=z)
         prior[...] = sample_priors(v, j_inverse(float(ia)), rng)
-    for a in (messages, lines, noise, priors):
+    for a in (messages, noise, priors):
         a.flags.writeable = False
-    return _InnerDraws(inner, grid, messages, lines, noise, priors)
+    return _InnerDraws(inner, grid, messages, _line_bits(inner, messages),
+                       noise, priors)
+
+
+def _line_bits(inner: str, messages: np.ndarray) -> np.ndarray:
+    """The line bits of `inner` for messages (points, nblocks, n0), in one
+    encoder call; read-only."""
+    lines = pipeline.INNER_CODES[inner].encode(
+        messages.reshape(-1, messages.shape[-1])).reshape(
+        *messages.shape[:2], -1)
+    lines.flags.writeable = False
+    return lines
+
+
+def _reencoded(draws: _InnerDraws, inner: str) -> _InnerDraws:
+    """The draws _draw_inner makes for `inner` on the grid, samples and
+    seed of `draws`, which must be of an inner code of the same rate: the
+    same messages, noise and priors, with `inner`'s line bits."""
+    return replace(draws, inner=inner, lines=_line_bits(inner, draws.messages))
 
 
 # Blocks per inner-decoder call when several small grid points are decoded
@@ -210,10 +245,10 @@ _ROWS_PER_CALL = 48
 def _decode_points(draws: _InnerDraws, sigma2: float, order: np.ndarray):
     """Decode the grid points of `draws` at noise variance sigma2 in
     `order`, max(1, _ROWS_PER_CALL // blocks) whole points per inner-decoder
-    call.  Each point decodes y = line + sqrt(sigma2) * noise and measures
-    its extrinsic mutual information on its own rows.  Yields, per call,
-    the indices of its points and their values, so a caller can stop
-    between calls."""
+    call.  Each point decodes y = line + sqrt(sigma2) * noise, and one
+    measure_mi_rows call measures every point's extrinsic mutual
+    information on the point's own blocks.  Yields, per call, the indices
+    of its points and their values, so a caller can stop between calls."""
     check_sigma2(sigma2)
     code = pipeline.INNER_CODES[draws.inner]
     scale = np.sqrt(sigma2)
@@ -224,8 +259,9 @@ def _decode_points(draws: _InnerDraws, sigma2: float, order: np.ndarray):
         y = ook_modulate(draws.lines[points]) + scale * draws.noise[points]
         ext = code.extrinsic(y.reshape(-1, y.shape[-1]),
                              draws.priors[points].reshape(-1, n0), sigma2)
-        yield points, np.array([measure_mi(e, v) for e, v in zip(
-            ext.reshape(-1, nblocks, n0), draws.messages[points])])
+        yield points, measure_mi_rows(
+            ext.reshape(len(points), -1),
+            draws.messages[points].reshape(len(points), -1))
 
 
 def _inner_at(draws: _InnerDraws, sigma2: float,
@@ -256,6 +292,33 @@ def inner_curve(inner: str, sigma2: float, grid=None, samples: int = 100_000,
 
 _OUTER_BLOCK = 128      # message bits per independent outer-curve block
 
+# Blocks per outer-decoder call when several grid points are decoded
+# together.  On a 2-core VM (Python 3.11, numpy 2.4; medians of 21
+# interleaved rounds, run twice), an outer_extrinsic call of 20 blocks of
+# 130 steps took 100 us a block, of 40 about 65, and of 80 to 390 blocks
+# 50-55 (rate 2/3) and 37-55 (unpunctured), with no further gain above 130
+# blocks and a bump at 160-200.  The chunk plan, not this budget, limits
+# most groups (_outer_points_per_call).
+_OUTER_ROWS_PER_CALL = 128
+
+
+def _outer_points_per_call(outer: codes.TrellisSpec, steps: int,
+                           nblocks: int) -> int:
+    """Whole grid points of nblocks blocks of `steps` sections per
+    outer-decoder call: as many as fit in _OUTER_ROWS_PER_CALL blocks (at
+    least one), but no more than keep the BCJR chunk plan of a one-point
+    call at every smaller group too, so that every point, the last group's
+    included, decodes to the one-point call's bits.  The outer trellis's
+    plan is one for 1-3 blocks, one for 4-12, one for 13-81 and the plain
+    recursion from 82 on."""
+    S, A = outer.next_state.shape
+    plan = siso._chunk_plan(steps, nblocks, S, A)
+    points = 1
+    while ((points + 1) * nblocks <= _OUTER_ROWS_PER_CALL
+           and siso._chunk_plan(steps, (points + 1) * nblocks, S, A) == plan):
+        points += 1
+    return points
+
 
 def outer_curve(outer: codes.TrellisSpec, puncture: codes.PuncturePattern,
                 grid=None, samples: int = 100_000,
@@ -263,7 +326,11 @@ def outer_curve(outer: codes.TrellisSpec, puncture: codes.PuncturePattern,
     """Measured transfer curve of the outer FEC decoder (prior-only input).
 
     Mutual information is measured on the extrinsics of the punctured
-    (transmitted) code bits; `samples` counts code bits per point.
+    (transmitted) code bits; `samples` counts code bits per point.  Each
+    point's generator, seeded by (seed, 7, point index), draws its
+    messages, then its priors; one encoder call serves the grid, and each
+    outer-decoder call decodes whole points (_outer_points_per_call), each
+    to the value a call of that point alone gives.
     """
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, np.float64)
     steps = _OUTER_BLOCK + outer.memory
@@ -275,15 +342,20 @@ def outer_curve(outer: codes.TrellisSpec, puncture: codes.PuncturePattern,
     u = np.concatenate([rng.integers(0, 2, size=(nblocks, k0)).astype(
         np.uint8) for rng in rngs])
     # one encoder call for the whole grid, as in inner_curve
-    kept_grid = codes.apply_puncture(codes.encode(outer, u), puncture)
-    kept_grid = kept_grid.reshape(len(grid), nblocks, n_kept)
+    kept = codes.apply_puncture(codes.encode(outer, u), puncture)
+    kept = kept.reshape(len(grid), nblocks * n_kept)
+    priors = np.stack([sample_priors(bits, j_inverse(float(ia)), rng)
+                       for rng, ia, bits in zip(rngs, grid, kept)])
+    per_call = _outer_points_per_call(outer, steps, nblocks)
     values = []
-    for rng, ia, kept in zip(rngs, grid, kept_grid):
-        prior_kept = sample_priors(kept, j_inverse(float(ia)), rng)
-        ext_kept, _ = pipeline.outer_extrinsic(outer, puncture, prior_kept)
-        values.append(measure_mi(ext_kept, kept))
+    for first in range(0, len(grid), per_call):
+        points = slice(first, first + per_call)
+        ext, _ = pipeline.outer_extrinsic(
+            outer, puncture, priors[points].reshape(-1, n_kept))
+        values.append(measure_mi_rows(ext.reshape(-1, nblocks * n_kept),
+                                      kept[points]))
     return ExitCurve(component="outer:cc", ebn0_db=None, grid=grid,
-                     values=np.array(values),
+                     values=np.concatenate(values),
                      samples_per_point=nblocks * n_kept)
 
 
@@ -331,6 +403,8 @@ def find_threshold(chain: pipeline.ChainConfig,
     once per search (`_draw_inner`, on the points' own (seed, point index)
     streams), and each Eb/N0 visited only rescales the noise, so every
     point decoded measures exactly the value inner_curve would.
+    run_threshold's split-phase and BMC searches share one such draw
+    (`_find_threshold`).
 
     A bisection step needs only the sign of the minimum gap, and one
     closed point settles it.  So each Eb/N0 decodes one inner-decoder call
@@ -350,6 +424,39 @@ def find_threshold(chain: pipeline.ChainConfig,
     finite and resolution_db positive and finite; they are checked before
     anything is drawn.
     """
+    return _find_threshold(chain, outer_curve_measured, lo_db, hi_db,
+                           resolution_db, samples, seed, {})
+
+
+# The points a threshold search tests: DEFAULT_GRID up to I = 0.99
+_THRESHOLD_GRID = DEFAULT_GRID[DEFAULT_GRID <= 0.99]
+
+
+def _threshold_draws(inner: str, samples, seed: int,
+                     drawn: dict) -> _InnerDraws:
+    """The draws of a threshold search for `inner` (_draw_inner on
+    _THRESHOLD_GRID), through `drawn`, which holds the last draws made by
+    (rate, samples, seed).  Inner codes of one rate draw the same messages,
+    noise and priors on the same streams (split-phase and BMC, both rate
+    1/2), so a search after another of the same rate re-encodes only the
+    line bits (_reencoded).  Only the last draws are kept, so a run of
+    several searches holds one set at a time."""
+    key = (pipeline.INNER_CODES[inner].rate, samples, seed)
+    if key not in drawn:
+        drawn.clear()
+        drawn[key] = _draw_inner(inner, _THRESHOLD_GRID, samples, seed)
+    elif drawn[key].inner != inner:
+        drawn[key] = _reencoded(drawn[key], inner)
+    return drawn[key]
+
+
+def _find_threshold(chain: pipeline.ChainConfig,
+                    outer_curve_measured: ExitCurve, lo_db: float,
+                    hi_db: float, resolution_db: float, samples,
+                    seed: int, drawn: dict) -> ThresholdResult:
+    """find_threshold, drawing through `drawn` (_threshold_draws): searches
+    at the same samples and seed that pass one dict share the draws of
+    their inner codes of one rate."""
     if not (np.isfinite(resolution_db) and resolution_db > 0):
         raise ValueError(f"resolution_db must be positive and finite, "
                          f"got {resolution_db}")
@@ -359,8 +466,8 @@ def find_threshold(chain: pipeline.ChainConfig,
     if lo_db >= hi_db:
         raise ValueError(f"lo_db={lo_db} must lie below hi_db={hi_db}")
 
-    grid = DEFAULT_GRID[DEFAULT_GRID <= 0.99]
-    draws = _draw_inner(chain.inner, grid, samples, seed)
+    draws = _threshold_draws(chain.inner, samples, seed, drawn)
+    grid = draws.grid
     complete = {}       # Eb/N0 -> the gap at every point, all decoded
 
     def gap_at(ebn0, finish=False):

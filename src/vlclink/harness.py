@@ -370,23 +370,29 @@ def run_exit(cfg: dict, out_dir: str | Path | None = None) -> list:
 
 
 def run_threshold(cfg: dict, out_dir: str | Path | None = None) -> dict:
-    """Convergence thresholds of cc-split-phase, cc-bmc and cc-4b6b."""
-    results = {}
+    """Convergence thresholds of cc-split-phase, cc-bmc and cc-4b6b.
+
+    Each outer curve is measured once per (outer code, puncture), all of
+    them before the searches, so that no inner draws are held while one
+    is measured.  The split-phase and BMC searches share their inner
+    draws: both codes are rate 1/2 on the same streams, so BMC re-encodes
+    only its line bits.
+    """
+    chains = [pipeline.make_chain(scheme, 64)
+              for scheme in ("cc-split-phase", "cc-bmc", "cc-4b6b")]
     outer_curves = {}       # one measurement per (outer code, puncture)
-    for scheme in ("cc-split-phase", "cc-bmc", "cc-4b6b"):
-        chain = pipeline.make_chain(scheme, 64)
+    for chain in chains:
         key = (chain.outer.name, chain.puncture)
         if key not in outer_curves:
             outer_curves[key] = exitchart.outer_curve(
                 chain.outer, chain.puncture, samples=cfg["exit_samples"],
                 seed=cfg["seed"])
-        outer = outer_curves[key]
-        res = exitchart.find_threshold(
-            chain, outer, lo_db=cfg["threshold_lo_db"],
-            hi_db=cfg["threshold_hi_db"],
-            resolution_db=cfg["threshold_resolution_db"],
-            samples=cfg["exit_samples"], seed=cfg["seed"])
-        results[scheme] = res
+    drawn = {}              # the last inner draws (exitchart._threshold_draws)
+    results = {chain.scheme: exitchart._find_threshold(
+        chain, outer_curves[chain.outer.name, chain.puncture],
+        cfg["threshold_lo_db"], cfg["threshold_hi_db"],
+        cfg["threshold_resolution_db"], cfg["exit_samples"], cfg["seed"],
+        drawn) for chain in chains}
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

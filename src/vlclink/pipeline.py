@@ -321,7 +321,7 @@ def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
         if collect_trace:
             streams = encode_chain(true_u, cfg)
             v_true, kept_true = streams["v"], streams["kept"]
-            from .exitchart import measure_mi
+            from .exitchart import measure_mi_rows
 
     L = cfg.iterations
     u_hat = np.zeros((B, cfg.k_user), dtype=np.uint8)
@@ -345,10 +345,9 @@ def receive(y: np.ndarray, cfg: ChainConfig, sigma2: float,
         if collect_trace:
             if it > 1:
                 mi[it - 1] = mi[it - 2]
-            for i, b in enumerate(live):
-                mi[it - 1, :, b] = (measure_mi(prior_v[i], v_true[b]),
-                                    measure_mi(le_v[i], v_true[b]),
-                                    measure_mi(le_kept[i], kept_true[b]))
+            mi[it - 1][:, live] = (measure_mi_rows(prior_v, v_true[live]),
+                                   measure_mi_rows(le_v, v_true[live]),
+                                   measure_mi_rows(le_kept, kept_true[live]))
         if true_u is not None:
             wrong = u_it != true_u[live]
             ber[it - 1, live] = wrong.mean(axis=1)

@@ -188,6 +188,16 @@ def _chunk_length(n: int, B: int, S: int, A: int) -> int:
     return _scan_cost(n, B, S, A, {})[1]
 
 
+def _chunk_plan(n: int, B: int, S: int, A: int) -> tuple[int, ...]:
+    """The chunk lengths of every level of the scan of n sections of B
+    blocks (see _scan), as the cost model picks them.  Two calls of one
+    trellis and length with the same plan do the same arithmetic on each
+    block, so a block decodes to the same bits in either."""
+    chunk = _chunk_length(n, B, S, A)
+    K = n // chunk
+    return (chunk,) + (_chunk_plan(K, B, S, S) if K > 1 else ())
+
+
 def _scan_cost(n: int, B: int, S: int, A: int, memo: dict):
     """(cost, chunk length) of the cheapest scan of n sections by the cost
     model, with the boundary pass priced recursively; memo holds the
@@ -451,28 +461,24 @@ class BcjrResult:
     app_output: np.ndarray      # (B, n, n_out) a-posteriori LLRs of label bits
 
 
-def _app_llrs(trellis: TrellisSpec, ws: DecoderWorkspace, masks,
+def _app_llrs(trellis: TrellisSpec, ws: DecoderWorkspace, masks: np.ndarray,
               metric: str) -> np.ndarray:
-    """A-posteriori LLRs, (B, n, len(masks)): for each (S, A) bit mask,
-    log(sum of the transition posteriors alpha * weight * beta' where the
-    bit is 1) - log(the sum where it is 0), clipped at +-LLR_SAT.
+    """A-posteriori LLRs, (B, n, J), for the J bits of a _posterior_masks
+    matrix: log(sum of the transition posteriors alpha * weight * beta'
+    where the bit is 1) - log(the sum where it is 0), clipped at +-LLR_SAT.
 
     A side that underflowed to 0 gives +-LLR_SAT; both sides 0 means a
     whole state vector underflowed, and raises ValueError naming the
     trellis and `metric`.
     """
-    B, n, S = ws.alpha[:, 1:].shape
-    order, dest = _edge_order(trellis)
+    B, n, _ = ws.alpha[:, 1:].shape
+    _, dest = _edge_order(trellis)
     # edge-major (S, A, B, n) in destination order, like weights
     post = ws.beta[:, 1:].transpose(2, 0, 1)[dest]
     post *= ws.weights.transpose(2, 3, 0, 1)
     post *= ws.alpha[:, :-1].transpose(2, 0, 1)[:, None]
-    A, J = post.shape[1], len(masks)
-    ones = np.stack([np.take_along_axis(np.broadcast_to(m, (S, A)), order,
-                                        axis=1).reshape(S * A)
-                     for m in masks])
-    sums = (np.vstack([ones, ~ones]).astype(float)
-            @ post.reshape(S * A, B * n)).reshape(2 * J, B, n)
+    J = len(masks) // 2
+    sums = (masks @ post.reshape(masks.shape[1], B * n)).reshape(2 * J, B, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         llr = np.log(sums[:J] / sums[J:])
     if np.isnan(llr).any():
@@ -487,12 +493,30 @@ def _input_mask(trellis: TrellisSpec) -> np.ndarray:
     return np.broadcast_to([False, True], (trellis.num_states, 2))
 
 
+@lru_cache(maxsize=64)
+def _posterior_masks(trellis: TrellisSpec, outputs: bool) -> np.ndarray:
+    """The 0/1 matrix, (2J, S*A), that _app_llrs sums the transition
+    posteriors with, built once per trellis and mask set: the input bit
+    and, with `outputs`, each label bit in turn.  Row j selects the edges
+    on which bit j is 1 and row J + j those on which it is 0, each state's
+    edges in destination order (_edge_order).  Read-only."""
+    S, A = trellis.next_state.shape
+    masks = [_input_mask(trellis)]
+    if outputs:
+        masks += [trellis.output_bits[:, :, j] == 1
+                  for j in range(trellis.outputs_per_step)]
+    order, _ = _edge_order(trellis)
+    ones = np.stack([np.take_along_axis(m, order, axis=1).reshape(S * A)
+                     for m in masks])
+    matrix = np.vstack([ones, ~ones]).astype(float)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def bcjr_decode(trellis: TrellisSpec, gamma: np.ndarray) -> BcjrResult:
     ws = bcjr_forward_backward(trellis, gamma)
-    masks = [_input_mask(trellis)] + [
-        trellis.output_bits[:, :, j] == 1
-        for j in range(trellis.outputs_per_step)]
-    llr = _app_llrs(trellis, ws, masks, "a-priori metric")
+    llr = _app_llrs(trellis, ws, _posterior_masks(trellis, True),
+                    "a-priori metric")
     return BcjrResult(app_input=llr[..., 0], app_output=llr[..., 1:])
 
 
@@ -507,7 +531,7 @@ def bcjr_extrinsic(trellis: TrellisSpec, *, observations, prior,
     prior = np.atleast_2d(np.asarray(prior, np.float64))
     gamma = gamma_table_ook(trellis, observations, prior, sigma2)
     ws = bcjr_forward_backward(trellis, gamma)
-    app_in = _app_llrs(trellis, ws, [_input_mask(trellis)],
+    app_in = _app_llrs(trellis, ws, _posterior_masks(trellis, False),
                        f"OOK metric at sigma2={sigma2:g}")[..., 0]
     return app_in - clamp_llr(prior)
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from vlclink.channel import awgn, block_rng, ebn0_to_sigma2, ook_modulate
+from vlclink.pipeline import make_chain
 
 
 def test_ook_definition():
@@ -93,3 +96,27 @@ def test_nonfinite_argument_rejected(name, value):
     args[name] = value
     with pytest.raises(ValueError, match=f"^{name} must be"):
         ebn0_to_sigma2(**args)
+
+
+@pytest.mark.parametrize("ebn0_db", [3100.0, -3300.0, np.float64(3100.0),
+                                     np.float64(-3300.0), 10 ** 6, -10 ** 6])
+def test_out_of_range_noise_variance_rejected(ebn0_db):
+    """An Eb/N0 so far out that the noise variance overflows or underflows
+    raises a ValueError naming ebn0_db, directly and through a chain, where
+    it used to raise a bare OverflowError or ZeroDivisionError (or, for a
+    numpy float, return 0.0 or inf with a RuntimeWarning)."""
+    chain = make_chain("cc-split-phase", 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for convert in (lambda e: ebn0_to_sigma2(e, 0.5, 0.5),
+                        chain.sigma2):
+            with pytest.raises(ValueError, match=f"^ebn0_db={ebn0_db} "):
+                convert(ebn0_db)
+
+
+def test_extreme_but_representable_ebn0_kept():
+    """Near the ends of the range the closed form still holds."""
+    assert ebn0_to_sigma2(3000.0, 0.5, 0.5) == pytest.approx(5e-301,
+                                                             rel=1e-15)
+    assert ebn0_to_sigma2(-3000.0, 0.5, 0.5) == pytest.approx(5e299,
+                                                              rel=1e-15)

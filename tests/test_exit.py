@@ -108,6 +108,45 @@ class TestMeasureMi:
         assert abs(ex.measure_mi(x, truth) - min(max(want, 0.0), 1.0)) < 1e-12
 
 
+    def test_rows_equal_measure_mi_row_by_row(self):
+        """measure_mi_rows gives each row measure_mi's value for that row
+        alone, to the bit, whatever the row's length or layout; +-inf rows
+        count as certain and a row holding a NaN raises, as measure_mi
+        does."""
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 256, 5120, 100_000):
+            truth = rng.integers(0, 2, (5, n)).astype(np.uint8)
+            llrs = rng.normal(0.0, 4.0, (5, n))
+            llrs[1] = np.where(truth[1] == 1, np.inf, -np.inf)
+            llrs[2] = -llrs[1]
+            llrs[3, ::3] = np.inf
+            # the 1-D estimate measure_mi made before it had rows
+            want = [float.hex(min(max(1.0 - float(np.mean(ex._softplus(
+                -((2.0 * bits - 1.0) * row)))) / ex.LN2, 0.0), 1.0))
+                for row, bits in zip(llrs, truth)]
+            assert [float.hex(ex.measure_mi(row, bits))
+                    for row, bits in zip(llrs, truth)] == want, n
+            for layout in (llrs, np.asfortranarray(llrs)):
+                got = ex.measure_mi_rows(layout, truth)
+                assert [float.hex(float(v)) for v in got] == want, n
+        assert ex.measure_mi_rows(llrs[1:3], truth[1:3]).tolist() == [1.0,
+                                                                       0.0]
+        llrs[4, -1] = np.nan
+        for bad in (llrs, llrs[4:]):
+            with pytest.raises(ValueError, match="NaN"):
+                ex.measure_mi_rows(bad, truth[-len(bad):])
+        with pytest.raises(ValueError, match="NaN"):
+            ex.measure_mi(llrs[4], truth[4])
+        assert ex.measure_mi_rows(np.zeros((3, 0)),
+                                  np.zeros((3, 0))).tolist() == [0.0] * 3
+
+    def test_rows_shape_checked(self):
+        with pytest.raises(ValueError, match="same"):
+            ex.measure_mi_rows(np.zeros((2, 5)), np.zeros((2, 6)))
+        with pytest.raises(ValueError, match="same"):
+            ex.measure_mi_rows(np.zeros(5), np.zeros(5))
+
+
 @pytest.fixture(scope="module")
 def sigma2_5db():
     return ebn0_to_sigma2(5.0, 1 / 3, 0.5)
@@ -185,22 +224,33 @@ def _inner_curve_per_point(inner, sigma2, grid, samples, seed):
     return np.array(values)
 
 
-def _outer_curve_per_point(outer, puncture, grid, samples, seed):
-    """Reference outer curve: each grid point encodes its own messages."""
+def _outer_points(outer, puncture, grid, samples, seed):
+    """Reference outer-curve inputs, per grid point: its generator draws
+    its own messages, then its priors.  Returns the kept code bits and
+    priors of every point, each (nblocks, n_kept), and the steps of a
+    block."""
     steps = ex._OUTER_BLOCK + outer.memory
     steps += -steps % puncture.period
     k0 = steps - outer.memory
     n_kept = int(puncture.mask(steps * outer.outputs_per_step).sum())
     nblocks = max(1, int(np.ceil(samples / n_kept)))
-    values = []
+    points = []
     for gi, ia in enumerate(grid):
         rng = np.random.default_rng([seed, 7, gi])
         u = rng.integers(0, 2, size=(nblocks, k0)).astype(np.uint8)
         kept = codes.apply_puncture(codes.encode(outer, u), puncture)
-        prior_kept = ex.sample_priors(kept, ex.j_inverse(float(ia)), rng)
-        ext_kept, _ = outer_extrinsic(outer, puncture, prior_kept)
-        values.append(ex.measure_mi(ext_kept, kept))
-    return np.array(values)
+        points.append((kept, ex.sample_priors(kept, ex.j_inverse(float(ia)),
+                                              rng)))
+    return points, steps
+
+
+def _outer_curve_per_point(outer, puncture, grid, samples, seed):
+    """Reference outer curve: each grid point encodes its own messages and
+    is decoded alone."""
+    points, _ = _outer_points(outer, puncture, grid, samples, seed)
+    return np.array([
+        ex.measure_mi(outer_extrinsic(outer, puncture, prior_kept)[0], kept)
+        for kept, prior_kept in points])
 
 
 @pytest.fixture
@@ -252,12 +302,16 @@ class TestOneEncoderCall:
     @pytest.mark.parametrize("puncture", [RATE_23_PUNCTURE, NO_PUNCTURE],
                              ids=["rate-2/3", "unpunctured"])
     def test_outer_same_numbers(self, puncture, seed):
+        # up to 3 (rate 2/3) and 4 (unpunctured) points per decoder call
+        # at 5000 samples
         outer = build_outer_cc()
-        c = ex.outer_curve(outer, puncture, samples=600, seed=seed)
-        np.testing.assert_array_equal(
-            c.values,
-            _outer_curve_per_point(outer, puncture, ex.DEFAULT_GRID, 600,
-                                   seed))
+        for samples in (600, 5000):
+            c = ex.outer_curve(outer, puncture, samples=samples, seed=seed)
+            np.testing.assert_array_equal(
+                c.values,
+                _outer_curve_per_point(outer, puncture, ex.DEFAULT_GRID,
+                                       samples, seed),
+                err_msg=f"{samples} samples")
 
     @pytest.mark.parametrize("grid", [[0.5], [0.0, 0.999], None],
                              ids=["1-point", "2-point", "default"])
@@ -326,6 +380,57 @@ class TestGroupedCalls:
                 prior, draws.priors[first:last].reshape(len(prior), -1))
             first = last
         assert first == points
+
+
+class TestOuterGroupedCalls:
+    """outer_curve decodes whole grid points per outer-decoder call, in
+    grid order: at most _OUTER_ROWS_PER_CALL blocks (a point of more is
+    decoded alone), and never a group whose BCJR chunk plan differs from a
+    one-point call's, so every value is the one-point call's."""
+
+    @pytest.mark.parametrize("puncture, samples, budget, per_call", [
+        (RATE_23_PUNCTURE, 600, None, 3),       # 4 blocks a point
+        (NO_PUNCTURE, 600, None, 1),            # 3: 6 blocks change plan
+        (RATE_23_PUNCTURE, 2000, None, 1),      # 11: 22 change plan
+        (NO_PUNCTURE, 2000, None, 1),           # 8: 16 change plan
+        (RATE_23_PUNCTURE, 5000, None, 3),      # 26: 104 change plan
+        (NO_PUNCTURE, 5000, None, 4),           # 20: 100 change plan
+        (NO_PUNCTURE, 5000, 40, 2),             # the budget binds
+        (RATE_23_PUNCTURE, 20_000, None, 1),    # 103 blocks
+        (NO_PUNCTURE, 20_000, 60, 1)],          # 77 blocks, over budget
+        ids=["2/3-600", "1/2-600", "2/3-2000", "1/2-2000", "2/3-5000",
+             "1/2-5000", "1/2-5000-budget-40", "2/3-20000",
+             "1/2-20000-budget-60"])
+    def test_call_structure(self, monkeypatch, puncture, samples, budget,
+                            per_call):
+        outer = build_outer_cc()
+        if budget is not None:
+            monkeypatch.setattr(ex, "_OUTER_ROWS_PER_CALL", budget)
+        points, steps = _outer_points(outer, puncture, ex.DEFAULT_GRID,
+                                      samples, 1)
+        nblocks = len(points[0][1])
+        S, A = outer.next_state.shape
+        one_point = siso._chunk_plan(steps, nblocks, S, A)
+        calls = []
+
+        def spy(outer_, puncture_, prior, _fn=outer_extrinsic):
+            calls.append(prior)
+            return _fn(outer_, puncture_, prior)
+        monkeypatch.setattr(ex.pipeline, "outer_extrinsic", spy)
+        c = ex.outer_curve(outer, puncture, samples=samples, seed=1)
+        assert len(calls) == -(-len(points) // per_call)
+        first = 0
+        for prior in calls:
+            assert len(prior) % nblocks == 0
+            assert len(prior) <= max(nblocks, ex._OUTER_ROWS_PER_CALL)
+            assert siso._chunk_plan(steps, len(prior), S, A) == one_point
+            for block in prior.reshape(-1, nblocks, prior.shape[-1]):
+                np.testing.assert_array_equal(block, points[first][1])
+                first += 1
+        assert first == len(points)
+        np.testing.assert_array_equal(
+            c.values, [ex.measure_mi(outer_extrinsic(outer, puncture, p)[0],
+                                     kept) for kept, p in points])
 
 
 class TestThreshold:
@@ -556,6 +661,27 @@ class TestOneDrawPerSearch:
             ex.find_threshold(chain, outer, lo_db=-2.0, hi_db=7.0,
                               resolution_db=0.5, samples=600, seed=3)
             assert len(encoder_calls) == 1, inner
+
+    def test_same_rate_codes_share_draws(self):
+        """A search after another of the same rate and setting takes its
+        messages, noise and priors and re-encodes only the line bits: BMC's
+        draws after split-phase's are exactly those BMC draws alone.  A
+        code of another rate draws its own, and only the last set is
+        kept."""
+        drawn = {}
+        sp = ex._threshold_draws("split-phase", 600, 2, drawn)
+        bmc = ex._threshold_draws("bmc", 600, 2, drawn)
+        alone = ex._draw_inner("bmc", ex._THRESHOLD_GRID, 600, 2)
+        assert bmc.inner == "bmc"
+        assert bmc.messages is sp.messages and bmc.noise is sp.noise
+        for name in ("grid", "messages", "lines", "noise", "priors"):
+            np.testing.assert_array_equal(getattr(bmc, name),
+                                          getattr(alone, name), name)
+        assert not bmc.lines.flags.writeable
+        assert ex._threshold_draws("bmc", 600, 2, drawn) is bmc
+        assert ex._threshold_draws("bmc", 600, 3, drawn) is not bmc
+        own = ex._threshold_draws("4b6b", 600, 2, drawn)
+        assert list(drawn.values()) == [own]
 
     def test_draws_read_only(self):
         draws = ex._draw_inner("split-phase", ex.DEFAULT_GRID, 600, 1)

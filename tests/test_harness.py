@@ -300,6 +300,34 @@ class TestThreshold:
         assert both["cc-bmc"] == alone
 
 
+    def test_two_inner_draws(self, monkeypatch):
+        """Split-phase and BMC share one inner draw (both rate 1/2), so a
+        run draws twice, not three times, and every result is the one a
+        search with its own draws finds."""
+        cfg = harness.load_config(None, overrides={
+            "exit_samples": 600, "seed": 5, "threshold_resolution_db": 0.5})
+        drawn = []
+        draw_inner = harness.exitchart._draw_inner
+
+        def counted(inner, *args):
+            drawn.append(inner)
+            return draw_inner(inner, *args)
+        monkeypatch.setattr(harness.exitchart, "_draw_inner", counted)
+        results = harness.run_threshold(cfg)
+        assert drawn == ["split-phase", "4b6b"]
+        monkeypatch.undo()
+        for scheme, res in results.items():
+            chain = pipeline.make_chain(scheme, 64)
+            outer = harness.exitchart.outer_curve(
+                chain.outer, chain.puncture, samples=cfg["exit_samples"],
+                seed=cfg["seed"])
+            assert res == harness.exitchart.find_threshold(
+                chain, outer, lo_db=cfg["threshold_lo_db"],
+                hi_db=cfg["threshold_hi_db"],
+                resolution_db=cfg["threshold_resolution_db"],
+                samples=cfg["exit_samples"], seed=cfg["seed"]), scheme
+
+
 class TestCli:
 
     def test_presets_lists_all(self, capsys):

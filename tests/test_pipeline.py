@@ -359,6 +359,45 @@ class TestActiveSet:
             receive(y, cfg, s2, collect_trace=True)
 
 
+    def test_trace_mi_is_each_blocks_own(self, monkeypatch):
+        """Every trace MI entry of a live block is measure_mi of that
+        block's LLRs alone, to the bit, while genie stopping shrinks the
+        batch: the inner decoder's prior and extrinsic against the
+        interleaved bits, the outer extrinsic against the kept bits."""
+        cfg, s2, u, y = _waterfall_batch()
+        inner, outer = [], []
+        bcjr_extrinsic = siso.bcjr_extrinsic
+        outer_extrinsic = pipeline.outer_extrinsic
+
+        def inner_spy(trellis, **kwargs):
+            ext = bcjr_extrinsic(trellis, **kwargs)
+            inner.append((np.array(kwargs["prior"]), ext))
+            return ext
+
+        def outer_spy(*args):
+            ext, app = outer_extrinsic(*args)
+            outer.append(ext)
+            return ext, app
+        monkeypatch.setattr(siso, "bcjr_extrinsic", inner_spy)
+        monkeypatch.setattr(pipeline, "outer_extrinsic", outer_spy)
+        _, trace = receive(y, cfg, s2, true_u=u, collect_trace=True)
+        streams = pipeline.encode_chain(u, cfg)
+        assert len(inner) == len(outer) == trace.executed
+        for t in range(trace.executed):
+            live = np.flatnonzero(trace.iterations > t)
+            prior, le_v = inner[t]
+            assert len(prior) == len(outer[t]) == len(live)
+            for i, b in enumerate(live):
+                v, kept = streams["v"][b], streams["kept"][b]
+                got = (trace.mi_prior_inner[t, b], trace.mi_ext_inner[t, b],
+                       trace.mi_ext_outer[t, b])
+                want = (exitchart.measure_mi(prior[i], v),
+                        exitchart.measure_mi(le_v[i], v),
+                        exitchart.measure_mi(outer[t][i], kept))
+                assert [float.hex(float(x)) for x in got] == [
+                    float.hex(x) for x in want], (t, b)
+
+
 class TestInnerCodeDispatch:
     """Each inner code decodes through its siso function, looked up on the
     module at call time, so a wrapper installed there sees every call."""

@@ -343,8 +343,30 @@ def chunked_decode(trellis, gamma, chunk, *boundary_chunks):
     """Workspace and input/label APPs with a forced scan chunk length (and
     those of the first levels of the boundary pass)."""
     ws = siso._forward_backward(trellis, gamma, chunk, *boundary_chunks)
-    llr = siso._app_llrs(trellis, ws, bit_masks(trellis), "test metric")
+    llr = siso._app_llrs(trellis, ws, siso._posterior_masks(trellis, True),
+                         "test metric")
     return ws, llr[..., 0], llr[..., 1:]
+
+
+class TestPosteriorMasks:
+    """The mask matrix of the posteriors is built once per trellis and
+    mask set, read-only, and is the matrix the masks give."""
+
+    @pytest.mark.parametrize("build", [codes.build_split_phase,
+                                       codes.build_bmc,
+                                       codes.build_outer_cc])
+    def test_built_once_from_the_masks(self, build):
+        trellis = build()
+        S, A = trellis.next_state.shape
+        order, _ = siso._edge_order(trellis)
+        for outputs, masks in ((False, bit_masks(trellis)[:1]),
+                               (True, bit_masks(trellis))):
+            matrix = siso._posterior_masks(trellis, outputs)
+            assert siso._posterior_masks(trellis, outputs) is matrix
+            assert not matrix.flags.writeable
+            ones = np.array([np.broadcast_to(m, (S, A))[
+                np.arange(S)[:, None], order].ravel() for m in masks])
+            np.testing.assert_array_equal(matrix, np.vstack([ones, ~ones]))
 
 
 def split_phase_gamma(rng, B, n, sigma2, prior_scale=2.0):
