@@ -10,8 +10,7 @@ with the time-average estimator.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -83,12 +82,14 @@ def measure_mi(llrs: np.ndarray, truth: np.ndarray) -> float:
     row of measure_mi_rows on the flattened arrays.
 
     An LLR of +-inf is a saturated decision and counts as certain; a NaN
-    LLR raises a ValueError.
+    LLR, or truth that is not all bits, raises a ValueError.
     """
     llrs = np.asarray(llrs, dtype=np.float64).ravel()
     truth = np.asarray(truth).ravel()
     if llrs.size != truth.size:
         raise ValueError("LLR and truth lengths differ")
+    if not ((truth == 0) | (truth == 1)).all():
+        raise ValueError("truth must hold only bits 0 and 1")
     return float(measure_mi_rows(llrs[None], truth[None])[0])
 
 
@@ -118,7 +119,10 @@ def measure_mi_rows(llrs: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def sample_priors(truth: np.ndarray, sigma_a: float,
                   rng: np.random.Generator) -> np.ndarray:
-    """Draw Gaussian-consistent a-priori LLRs for known bits."""
+    """Draw Gaussian-consistent a-priori LLRs for known bits; sigma_a
+    must be finite and >= 0."""
+    if not 0.0 <= sigma_a < np.inf:     # also false for NaN
+        raise ValueError(f"sigma_a must be finite and >= 0, got {sigma_a!r}")
     truth = np.asarray(truth, dtype=np.float64)
     if sigma_a == 0.0:
         return np.zeros_like(truth)
@@ -182,49 +186,35 @@ class _InnerDraws:
 
 def _draw_inner(inner: str, grid: np.ndarray, samples,
                 seed: int) -> _InnerDraws:
-    """Draw an inner curve's messages, noise and priors and encode its line
-    bits.
+    """Draw an inner curve's messages, line bits, noise and priors.
 
     Each grid point has its own generator, seeded by (seed, point index),
-    which draws that point's messages, then the standard-normal noise on
-    its line bits, then the priors; one encoder call serves the grid.
-    numpy's normal(0, s) is 0 + s * standard_normal on the same stream, so
-    scaling this noise by sqrt(sigma2) gives the noise channel.awgn would
-    draw.  The encoder draws no numbers, so the draws depend on the code
-    through its rate only (_reencoded).
+    which draws that point's messages, then the standard-normal noise,
+    then the priors; one encoder call serves the grid.  numpy's
+    normal(0, s) is 0 + s * standard_normal on the same stream, so scaling
+    this noise by sqrt(sigma2) gives the noise channel.awgn would draw.
     """
-    rate = pipeline.INNER_CODES[inner].rate
+    if inner not in pipeline.INNER_CODES:
+        raise ValueError(f"unknown inner code {inner!r}; choose from "
+                         f"{', '.join(pipeline.INNER_CODES)}")
+    code = pipeline.INNER_CODES[inner]
     n0 = _INNER_BLOCK
     nblocks = _block_count(samples, n0)
     rngs = [np.random.default_rng([seed, gi]) for gi in range(len(grid))]
     messages = np.stack([rng.integers(0, 2, size=(nblocks, n0)).astype(
         np.uint8) for rng in rngs])
-    noise = np.empty((len(grid), nblocks, int(n0 / rate)))
+    # the encoder draws no numbers, so each point's generator goes on to
+    # its noise and priors unchanged
+    lines = code.encode(messages.reshape(-1, n0)).reshape(
+        len(grid), nblocks, -1)
+    noise = np.empty(lines.shape)
     priors = np.empty(messages.shape)
     for rng, ia, v, z, prior in zip(rngs, grid, messages, noise, priors):
         rng.standard_normal(out=z)
         prior[...] = sample_priors(v, j_inverse(float(ia)), rng)
-    for a in (messages, noise, priors):
+    for a in (messages, lines, noise, priors):
         a.flags.writeable = False
-    return _InnerDraws(inner, grid, messages, _line_bits(inner, messages),
-                       noise, priors)
-
-
-def _line_bits(inner: str, messages: np.ndarray) -> np.ndarray:
-    """The line bits of `inner` for messages (points, nblocks, n0), in one
-    encoder call; read-only."""
-    lines = pipeline.INNER_CODES[inner].encode(
-        messages.reshape(-1, messages.shape[-1])).reshape(
-        *messages.shape[:2], -1)
-    lines.flags.writeable = False
-    return lines
-
-
-def _reencoded(draws: _InnerDraws, inner: str) -> _InnerDraws:
-    """The draws _draw_inner makes for `inner` on the grid, samples and
-    seed of `draws`, which must be of an inner code of the same rate: the
-    same messages, noise and priors, with `inner`'s line bits."""
-    return replace(draws, inner=inner, lines=_line_bits(inner, draws.messages))
+    return _InnerDraws(inner, grid, messages, lines, noise, priors)
 
 
 # Blocks per inner-decoder call when several small grid points are decoded
@@ -403,8 +393,6 @@ def find_threshold(chain: pipeline.ChainConfig,
     once per search (`_draw_inner`, on the points' own (seed, point index)
     streams), and each Eb/N0 visited only rescales the noise, so every
     point decoded measures exactly the value inner_curve would.
-    run_threshold's split-phase and BMC searches share one such draw
-    (`_find_threshold`).
 
     A bisection step needs only the sign of the minimum gap, and one
     closed point settles it.  So each Eb/N0 decodes one inner-decoder call
@@ -424,39 +412,6 @@ def find_threshold(chain: pipeline.ChainConfig,
     finite and resolution_db positive and finite; they are checked before
     anything is drawn.
     """
-    return _find_threshold(chain, outer_curve_measured, lo_db, hi_db,
-                           resolution_db, samples, seed, {})
-
-
-# The points a threshold search tests: DEFAULT_GRID up to I = 0.99
-_THRESHOLD_GRID = DEFAULT_GRID[DEFAULT_GRID <= 0.99]
-
-
-def _threshold_draws(inner: str, samples, seed: int,
-                     drawn: dict) -> _InnerDraws:
-    """The draws of a threshold search for `inner` (_draw_inner on
-    _THRESHOLD_GRID), through `drawn`, which holds the last draws made by
-    (rate, samples, seed).  Inner codes of one rate draw the same messages,
-    noise and priors on the same streams (split-phase and BMC, both rate
-    1/2), so a search after another of the same rate re-encodes only the
-    line bits (_reencoded).  Only the last draws are kept, so a run of
-    several searches holds one set at a time."""
-    key = (pipeline.INNER_CODES[inner].rate, samples, seed)
-    if key not in drawn:
-        drawn.clear()
-        drawn[key] = _draw_inner(inner, _THRESHOLD_GRID, samples, seed)
-    elif drawn[key].inner != inner:
-        drawn[key] = _reencoded(drawn[key], inner)
-    return drawn[key]
-
-
-def _find_threshold(chain: pipeline.ChainConfig,
-                    outer_curve_measured: ExitCurve, lo_db: float,
-                    hi_db: float, resolution_db: float, samples,
-                    seed: int, drawn: dict) -> ThresholdResult:
-    """find_threshold, drawing through `drawn` (_threshold_draws): searches
-    at the same samples and seed that pass one dict share the draws of
-    their inner codes of one rate."""
     if not (np.isfinite(resolution_db) and resolution_db > 0):
         raise ValueError(f"resolution_db must be positive and finite, "
                          f"got {resolution_db}")
@@ -466,8 +421,8 @@ def _find_threshold(chain: pipeline.ChainConfig,
     if lo_db >= hi_db:
         raise ValueError(f"lo_db={lo_db} must lie below hi_db={hi_db}")
 
-    draws = _threshold_draws(chain.inner, samples, seed, drawn)
-    grid = draws.grid
+    grid = DEFAULT_GRID[DEFAULT_GRID <= 0.99]
+    draws = _draw_inner(chain.inner, grid, samples, seed)
     complete = {}       # Eb/N0 -> the gap at every point, all decoded
 
     def gap_at(ebn0, finish=False):
@@ -516,8 +471,7 @@ def record_trajectory(cfg: pipeline.ChainConfig, ebn0_db: float,
     Even half-iterations are the inner decoder (x = its prior MI, y = its
     extrinsic MI); odd ones are the outer decoder on swapped axes.
     """
-    if not isinstance(blocks, numbers.Integral) or blocks < 1:
-        raise ValueError(f"blocks must be an integer >= 1, got {blocks!r}")
+    pipeline.check_count("blocks", blocks)
     sigma2 = cfg.sigma2(ebn0_db)
     rng = np.random.default_rng([seed, 11])
     u = rng.integers(0, 2, size=(blocks, cfg.k_user)).astype(np.uint8)

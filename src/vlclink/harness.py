@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -119,7 +118,8 @@ def _coerce(cfg: dict) -> dict:
             out[k] = int(cfg[k])
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"key {k!r}: expected integer, got {cfg[k]!r}")
-        if not isinstance(cfg[k], str) and out[k] != cfg[k]:
+        if isinstance(cfg[k], bool) or (not isinstance(cfg[k], str)
+                                        and out[k] != cfg[k]):
             raise ConfigError(f"key {k!r}: expected integer, got {cfg[k]!r}")
     for k, least in _MINIMUM.items():
         if out[k] < least:
@@ -280,8 +280,7 @@ def simulate_point(cfg_chain: pipeline.ChainConfig, ebn0_db: float,
     max_blocks or, checked after each batch, target_errors bit errors."""
     for name, n in (("max_blocks", max_blocks),
                     ("target_errors", target_errors), ("batch", batch)):
-        if not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+        pipeline.check_count(name, n)
     sigma2 = cfg_chain.sigma2(ebn0_db)
     t0 = time.perf_counter()
     errs = iters = np.zeros(0, dtype=np.int64)
@@ -372,27 +371,23 @@ def run_exit(cfg: dict, out_dir: str | Path | None = None) -> list:
 def run_threshold(cfg: dict, out_dir: str | Path | None = None) -> dict:
     """Convergence thresholds of cc-split-phase, cc-bmc and cc-4b6b.
 
-    Each outer curve is measured once per (outer code, puncture), all of
-    them before the searches, so that no inner draws are held while one
-    is measured.  The split-phase and BMC searches share their inner
-    draws: both codes are rate 1/2 on the same streams, so BMC re-encodes
-    only its line bits.
+    Each outer curve is measured once per (outer code, puncture), the
+    first time a scheme needs it, and each search draws its own inputs.
     """
-    chains = [pipeline.make_chain(scheme, 64)
-              for scheme in ("cc-split-phase", "cc-bmc", "cc-4b6b")]
+    results = {}
     outer_curves = {}       # one measurement per (outer code, puncture)
-    for chain in chains:
+    for scheme in ("cc-split-phase", "cc-bmc", "cc-4b6b"):
+        chain = pipeline.make_chain(scheme, 64)
         key = (chain.outer.name, chain.puncture)
         if key not in outer_curves:
             outer_curves[key] = exitchart.outer_curve(
                 chain.outer, chain.puncture, samples=cfg["exit_samples"],
                 seed=cfg["seed"])
-    drawn = {}              # the last inner draws (exitchart._threshold_draws)
-    results = {chain.scheme: exitchart._find_threshold(
-        chain, outer_curves[chain.outer.name, chain.puncture],
-        cfg["threshold_lo_db"], cfg["threshold_hi_db"],
-        cfg["threshold_resolution_db"], cfg["exit_samples"], cfg["seed"],
-        drawn) for chain in chains}
+        results[scheme] = exitchart.find_threshold(
+            chain, outer_curves[key], lo_db=cfg["threshold_lo_db"],
+            hi_db=cfg["threshold_hi_db"],
+            resolution_db=cfg["threshold_resolution_db"],
+            samples=cfg["exit_samples"], seed=cfg["seed"])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

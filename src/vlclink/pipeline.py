@@ -181,6 +181,13 @@ SCHEMES = {
 _PROBE = (np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1).ravel()
 
 
+def check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1; a bool is not a count."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def make_chain(scheme: str, k: int, iterations: int = 30,
                genie_stopping: bool = True, d: float | None = None,
                interleaver_seed: int = 1) -> ChainConfig:
@@ -196,10 +203,8 @@ def make_chain(scheme: str, k: int, iterations: int = 30,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from "
                          f"{', '.join(SCHEMES)}")
-    for name, count in (("k", k), ("iterations", iterations)):
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"{name} must be >= 1 and integral, got "
-                             f"{count!r}")
+    check_count("k", k)
+    check_count("iterations", iterations)
     inner, punct, d_default = SCHEMES[scheme]
     d = d_default if d is None else d
 

@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import OOK_MIDPOINT, check_sigma2
-from .codes import LutCodeSpec, TrellisSpec
+from .codes import FramingError, LutCodeSpec, TrellisSpec
 
 LLR_CLAMP = 50.0
 # Magnitude of a BCJR LLR one side of which underflowed: that side is 0, or
@@ -67,6 +67,27 @@ def clamp_llr(x: np.ndarray) -> np.ndarray:
 def _check_finite(name, x):
     if not np.isfinite(x).all():
         raise ValueError(f"non-finite values in {name}")
+
+
+def _ook_inputs(y, prior, sigma2, bits_in: int, bits_out: int):
+    """The OOK observations and input-bit prior LLRs of an inner decoder
+    call, as 2-D float64 arrays, checked: sigma2 positive and finite, both
+    arrays finite, y (blocks, whole symbols of bits_out observations) and
+    prior (blocks, bits_in LLRs a symbol).  Shapes that do not fit raise a
+    FramingError naming both."""
+    check_sigma2(sigma2)
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    prior = np.atleast_2d(np.asarray(prior, dtype=np.float64))
+    _check_finite("observations", y)
+    _check_finite("prior", prior)
+    if (y.ndim != 2 or y.shape[-1] % bits_out or prior.shape
+            != (len(y), y.shape[-1] // bits_out * bits_in)):
+        raise FramingError(
+            f"observations of shape {y.shape} and prior of shape "
+            f"{prior.shape}: the lengths do not fit the code, which needs "
+            f"whole symbols of {bits_out} observations and, per block, "
+            f"{bits_in} prior LLRs a symbol")
+    return y, prior
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +114,9 @@ def gamma_table_ook(trellis: TrellisSpec, y: np.ndarray, prior: np.ndarray,
     """Vectorized OOK metric table, shape (B, n_sections, S, A): the OOK
     metric of each transition's output label plus input_bit * prior.
     Stored edge-major, (S, A, B, n_sections), as the BCJR reads it."""
-    check_sigma2(sigma2)
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    prior = np.atleast_2d(np.asarray(prior, dtype=np.float64))
-    _check_finite("observations", y)
-    _check_finite("prior", prior)
-    B = y.shape[0]
     n_out = trellis.outputs_per_step
-    n = y.shape[-1] // n_out
-    if y.shape[-1] != n * n_out or prior.shape[-1] != n:
-        raise ValueError("observation/prior lengths inconsistent with trellis")
+    y, prior = _ook_inputs(y, prior, sigma2, 1, n_out)
+    B, n = prior.shape
     S, A, _ = trellis.output_bits.shape
     labels = trellis.output_bits.reshape(S * A, n_out).astype(np.float64)
     g = (labels @ _ook_metric(y, sigma2).reshape(B * n, n_out).T
@@ -181,21 +195,22 @@ _REMAINDER_S = 8.8e-6
 
 
 @lru_cache(maxsize=256)
-def _chunk_length(n: int, B: int, S: int, A: int) -> int:
-    """Chunk length the cost model rates fastest for a scan of n sections
-    of B blocks (see _scan): n (one chunk, the plain recursion) unless a
-    split into K >= 2 chunks is predicted to be faster."""
-    return _scan_cost(n, B, S, A, {})[1]
-
-
 def _chunk_plan(n: int, B: int, S: int, A: int) -> tuple[int, ...]:
     """The chunk lengths of every level of the scan of n sections of B
-    blocks (see _scan), as the cost model picks them.  Two calls of one
-    trellis and length with the same plan do the same arithmetic on each
-    block, so a block decodes to the same bits in either."""
-    chunk = _chunk_length(n, B, S, A)
-    K = n // chunk
-    return (chunk,) + (_chunk_plan(K, B, S, S) if K > 1 else ())
+    blocks (see _scan), as the cost model picks them: at each level n
+    (one chunk, the plain recursion) unless a split into K >= 2 chunks is
+    predicted to be faster.  One _scan_cost pass prices every level, as
+    its memo holds each boundary pass.  Two calls of one trellis and
+    length with the same plan do the same arithmetic on each block, so a
+    block decodes to the same bits in either."""
+    memo = {}
+    plan = []
+    while True:
+        plan.append(_scan_cost(n, B, S, A, memo)[1])
+        n //= plan[-1]
+        if n <= 1:
+            return tuple(plan)
+        A = S
 
 
 def _scan_cost(n: int, B: int, S: int, A: int, memo: dict):
@@ -322,9 +337,10 @@ def _scan(w, next_state, alpha, beta, chunks) -> None:
     vector is divided by its largest entry.  alpha[:, 0] and beta[:, n]
     hold the ends; the rest is written.
 
-    The first K = n // chunk sections form K chunks (chunk = chunks[0],
-    else the cost model's); the n mod chunk remaining ones follow.  Each
-    part is copied once, time-major, for all phases.
+    chunks is the plan of this level and the levels below it; an empty
+    one takes the cost model's (_chunk_plan).  The first K = n // chunk
+    sections form K chunks (chunk = chunks[0]); the n mod chunk remaining
+    ones follow.  Each part is copied once, time-major, for all phases.
     beta runs over the remainder first, one section per step, and alpha
     last, so that both directions see the same chunks.  Then: (1) each
     chunk's transfer T[s, s0], the weight of its paths from state s0 to
@@ -344,7 +360,8 @@ def _scan(w, next_state, alpha, beta, chunks) -> None:
     B, n, S, A = w.shape
     if not n:
         return
-    chunk = min(chunks[0] if chunks else _chunk_length(n, B, S, A), n)
+    chunks = chunks or _chunk_plan(n, B, S, A)
+    chunk = min(chunks[0], n)
     K = n // chunk
     m = K * chunk
     g = _time_major(w[:, :m].reshape(B, K, chunk, S, A))
@@ -581,18 +598,11 @@ def map_lut(spec: LutCodeSpec, y: np.ndarray, prior: np.ndarray, *,
     own prior never enters, so a 1-bit code (Manchester) is exactly
     prior-independent.
     """
-    check_sigma2(sigma2)
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    _check_finite("observations", y)
     iw, ow = spec.input_width, spec.output_width
-    if y.shape[-1] % ow:
-        raise ValueError(f"observation length {y.shape[-1]} not a multiple "
-                         f"of {ow}")
+    y, prior = _ook_inputs(y, prior, sigma2, iw, ow)
     nsym = y.shape[-1] // ow
     B = y.shape[0]
-    prior = clamp_llr(np.atleast_2d(np.asarray(prior, np.float64)))
-    _check_finite("prior", prior)
-    pr = prior.reshape(B, nsym, iw)
+    pr = clamp_llr(prior).reshape(B, nsym, iw)
 
     ch = (_ook_metric(y.reshape(B, nsym, ow), sigma2)
           @ spec.table.astype(np.float64).T)

@@ -86,6 +86,11 @@ class TestMeasureMi:
         with pytest.raises(ValueError):
             ex.measure_mi(np.zeros(5), np.zeros(6))
 
+    @pytest.mark.parametrize("truth", [[2, 0], [1, -1], [0.5, 1.0]])
+    def test_truth_must_be_bits(self, truth):
+        with pytest.raises(ValueError, match="truth"):
+            ex.measure_mi(np.array([1.0, -2.0]), np.array(truth))
+
     def test_nan_rejected_inf_kept(self):
         truth = np.array([1, 0, 1, 0])
         with pytest.raises(ValueError, match="NaN"):
@@ -290,9 +295,9 @@ class TestOneEncoderCall:
         c = ex.inner_curve(inner, 0.3, samples=200, seed=1)
         want = _inner_curve_per_point(inner, 0.3, ex.DEFAULT_GRID, 200, 1)
         np.testing.assert_allclose(c.values, want, rtol=0, atol=1e-15)
-        chunk_length = siso._chunk_length
-        monkeypatch.setattr(siso, "_chunk_length",
-                            lambda n, B, S, A: chunk_length(n, 2, S, A))
+        chunk_plan = siso._chunk_plan
+        monkeypatch.setattr(siso, "_chunk_plan",
+                            lambda n, B, S, A: chunk_plan(n, 2, S, A))
         c = ex.inner_curve(inner, 0.3, samples=200, seed=1)
         np.testing.assert_array_equal(
             c.values,
@@ -326,6 +331,16 @@ class TestOneEncoderCall:
             ex.outer_curve(build_outer_cc(), puncture, grid=grid,
                            samples=300)
             assert len(calls) == 1
+
+    def test_unknown_inner_code_rejected(self):
+        with pytest.raises(ValueError, match="unknown inner code 'bogus'; "
+                           "choose from " + ", ".join(INNER_CODES)):
+            ex.inner_curve("bogus", 0.3, samples=300)
+
+    @pytest.mark.parametrize("sigma_a", [np.nan, -1.0, np.inf])
+    def test_sample_priors_rejects_bad_sigma_a(self, sigma_a):
+        with pytest.raises(ValueError, match="sigma_a"):
+            ex.sample_priors(np.zeros(4), sigma_a, np.random.default_rng(0))
 
     @pytest.mark.parametrize("samples", [0, -10, float("nan")])
     def test_samples_below_one_rejected(self, samples):
@@ -661,27 +676,6 @@ class TestOneDrawPerSearch:
             ex.find_threshold(chain, outer, lo_db=-2.0, hi_db=7.0,
                               resolution_db=0.5, samples=600, seed=3)
             assert len(encoder_calls) == 1, inner
-
-    def test_same_rate_codes_share_draws(self):
-        """A search after another of the same rate and setting takes its
-        messages, noise and priors and re-encodes only the line bits: BMC's
-        draws after split-phase's are exactly those BMC draws alone.  A
-        code of another rate draws its own, and only the last set is
-        kept."""
-        drawn = {}
-        sp = ex._threshold_draws("split-phase", 600, 2, drawn)
-        bmc = ex._threshold_draws("bmc", 600, 2, drawn)
-        alone = ex._draw_inner("bmc", ex._THRESHOLD_GRID, 600, 2)
-        assert bmc.inner == "bmc"
-        assert bmc.messages is sp.messages and bmc.noise is sp.noise
-        for name in ("grid", "messages", "lines", "noise", "priors"):
-            np.testing.assert_array_equal(getattr(bmc, name),
-                                          getattr(alone, name), name)
-        assert not bmc.lines.flags.writeable
-        assert ex._threshold_draws("bmc", 600, 2, drawn) is bmc
-        assert ex._threshold_draws("bmc", 600, 3, drawn) is not bmc
-        own = ex._threshold_draws("4b6b", 600, 2, drawn)
-        assert list(drawn.values()) == [own]
 
     def test_draws_read_only(self):
         draws = ex._draw_inner("split-phase", ex.DEFAULT_GRID, 600, 1)

@@ -258,6 +258,29 @@ class TestSimulatePoint:
             harness.simulate_point(chain, 6.0, 0, 1, **counts)
 
 
+_SPLIT_PHASE = pipeline.make_chain("cc-split-phase", 64)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pipeline.make_chain("cc-split-phase", True),
+    lambda: pipeline.make_chain("cc-split-phase", 64, iterations=True),
+    lambda: harness.load_config(None, overrides={"k": True}),
+    lambda: harness.load_config(None, overrides={"seed": False}),
+    lambda: harness.simulate_point(_SPLIT_PHASE, 6.0, 0, 1, max_blocks=True,
+                                   target_errors=10, batch=2),
+    lambda: harness.simulate_point(_SPLIT_PHASE, 6.0, 0, 1, max_blocks=2,
+                                   target_errors=10, batch=True),
+    lambda: harness.exitchart.record_trajectory(_SPLIT_PHASE, 5.5,
+                                                blocks=True),
+], ids=["make_chain-k", "make_chain-iterations", "config-k", "config-seed",
+        "simulate_point-max_blocks", "simulate_point-batch",
+        "record_trajectory-blocks"])
+def test_bool_is_not_a_count(call):
+    """numbers.Integral includes bool, but True is no count."""
+    with pytest.raises(ValueError, match=r"integer.*got (True|False)"):
+        call()
+
+
 class TestWilsonInterval:
 
     Z = 1.959963984540054
@@ -300,21 +323,29 @@ class TestThreshold:
         assert both["cc-bmc"] == alone
 
 
-    def test_two_inner_draws(self, monkeypatch):
-        """Split-phase and BMC share one inner draw (both rate 1/2), so a
-        run draws twice, not three times, and every result is the one a
-        search with its own draws finds."""
+    def test_each_search_draws_its_own(self, monkeypatch):
+        """Each scheme is searched by the public find_threshold, which
+        draws its own inputs once, and every result is the one a search
+        run alone finds."""
         cfg = harness.load_config(None, overrides={
             "exit_samples": 600, "seed": 5, "threshold_resolution_db": 0.5})
-        drawn = []
+        searched, drawn = [], []
+        find_threshold = harness.exitchart.find_threshold
         draw_inner = harness.exitchart._draw_inner
 
-        def counted(inner, *args):
+        def counted_search(chain, *args, **kwargs):
+            searched.append(chain.scheme)
+            return find_threshold(chain, *args, **kwargs)
+
+        def counted_draw(inner, *args):
             drawn.append(inner)
             return draw_inner(inner, *args)
-        monkeypatch.setattr(harness.exitchart, "_draw_inner", counted)
+        monkeypatch.setattr(harness.exitchart, "find_threshold",
+                            counted_search)
+        monkeypatch.setattr(harness.exitchart, "_draw_inner", counted_draw)
         results = harness.run_threshold(cfg)
-        assert drawn == ["split-phase", "4b6b"]
+        assert searched == ["cc-split-phase", "cc-bmc", "cc-4b6b"]
+        assert drawn == ["split-phase", "bmc", "4b6b"]
         monkeypatch.undo()
         for scheme, res in results.items():
             chain = pipeline.make_chain(scheme, 64)

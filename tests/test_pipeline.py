@@ -102,14 +102,14 @@ class TestChainConfig:
     @pytest.mark.parametrize("k, iterations", [(0, 30), (-5, 30), (64, 0),
                                                (64, -1)])
     def test_counts_below_one_rejected(self, k, iterations):
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
             make_chain("cc-split-phase", k=k, iterations=iterations)
 
     @pytest.mark.parametrize("k, iterations, name", [
         (64.5, 30, "k"), (64.0, 30, "k"), (64, 2.5, "iterations")])
     def test_counts_not_integral_rejected(self, k, iterations, name):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1 and "
-                                             "integral"):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer >= 1"):
             make_chain("cc-split-phase", k=k, iterations=iterations)
 
     @pytest.mark.parametrize("scheme", ["cc-bmc", "cc-4b6b"])

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -178,6 +179,25 @@ class TestBcjrProperties:
         code_prior[0, 4, 1] = np.nan
         with pytest.raises(ValueError, match="code prior"):
             gamma_table_llr(codes.build_outer_cc(), code_prior)
+
+    @pytest.mark.parametrize("prior_shape", [(1, 16), (3, 16), (4, 20)])
+    @pytest.mark.parametrize("width, decode", [
+        (32, lambda y, prior: bcjr_extrinsic(
+            codes.build_split_phase(), observations=y, prior=prior,
+            sigma2=0.5)),
+        (24, lambda y, prior: map_lut(codes.build_4b6b(), y, prior,
+                                      sigma2=0.5)),
+    ], ids=["bcjr_extrinsic", "map_lut"])
+    def test_prior_one_row_per_block(self, width, decode, prior_shape):
+        """Both inner decoders take one prior row per block of
+        observations and one LLR per input bit, and name both shapes
+        otherwise: neither broadcasts a prior over the blocks."""
+        y = np.full((4, width), 0.5)
+        assert decode(y, np.zeros((4, 16))).shape == (4, 16)
+        with pytest.raises(codes.FramingError, match=re.escape(
+                f"observations of shape {y.shape} and prior of shape "
+                f"{prior_shape}")):
+            decode(y, np.zeros(prior_shape))
 
     @pytest.mark.parametrize("bad", ["nan", "+inf", "all -inf"])
     def test_nonfinite_metric_table(self, bad):
@@ -561,10 +581,23 @@ class TestChunkedScan:
 
     def test_chunking_follows_the_call_shape(self):
         # long desk-sized blocks are split; wide short EXIT calls are not
-        assert siso._chunk_length(8193, 8, 2, 2) < 8193 // 2
-        assert siso._chunk_length(5462, 8, 4, 2) < 5462 // 2
-        assert siso._chunk_length(256, 400, 2, 2) == 256
-        assert siso._chunk_length(130, 770, 4, 2) == 130
+        assert siso._chunk_plan(8193, 8, 2, 2)[0] < 8193 // 2
+        assert siso._chunk_plan(5462, 8, 4, 2)[0] < 5462 // 2
+        assert siso._chunk_plan(256, 400, 2, 2)[0] == 256
+        assert siso._chunk_plan(130, 770, 4, 2)[0] == 130
+
+    @pytest.mark.parametrize("n", [130, 256, 514, 1028, 5462, 8193])
+    @pytest.mark.parametrize("S", [2, 4], ids=["split-phase", "outer"])
+    def test_plan_priced_in_one_pass(self, n, S):
+        """One _scan_cost pass prices every level of a plan as the
+        level-by-level reference, each level from a fresh memo, does."""
+        def per_level(n, B, S, A):
+            chunk = siso._scan_cost(n, B, S, A, {})[1]
+            K = n // chunk
+            return (chunk,) + (per_level(K, B, S, S) if K > 1 else ())
+        for B in range(1, 81):
+            assert (siso._chunk_plan.__wrapped__(n, B, S, 2)
+                    == per_level(n, B, S, 2)), B
 
 
 class TestEdgeOrder:
